@@ -48,7 +48,6 @@ from .observables import (
     generating_function,
     mean,
     moments,
-    moments_oracle,
     outcome_distribution,
     second_moment,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "maximize_area",
     "mean",
     "moments",
-    "moments_oracle",
     "outcome_distribution",
     "overlap",
     "probs_to_bloch",

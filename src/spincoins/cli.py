@@ -1,10 +1,12 @@
 """Command-line front end: JSON payloads in, JSON on stdout, SVG to file.
 
 Exit codes: 0 on success, 1 on domain errors (invalid probability,
-non-Hermitian matrix, non-quantum state), 2 on usage errors (unknown
-subcommand, malformed JSON, bad flags). Output is byte deterministic for
-identical argv and seed; the default seed can be overridden with the
-``SPINCOINS_SEED`` environment variable.
+non-Hermitian matrix, non-quantum state, a result too large for a finite
+JSON number), 2 on usage errors (unknown subcommand, malformed JSON, bad
+flags). Stdout is strict JSON, never NaN or Infinity, and stays empty on
+an error. Output is byte deterministic for identical argv and seed; the
+default seed can be overridden with the ``SPINCOINS_SEED`` environment
+variable.
 """
 
 from __future__ import annotations
@@ -129,10 +131,7 @@ def _cmd_sample(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_max_area(args: argparse.Namespace) -> dict[str, Any]:
-    result = suprematism.maximize_area(
-        args.region, grid_density=args.grid_density, refinement_steps=args.refinement_steps
-    )
-    return result.to_dict()
+    return suprematism.maximize_area(args.region).to_dict()
 
 
 def _cmd_quantum_fraction(args: argparse.Namespace) -> dict[str, Any]:
@@ -209,10 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1, help="number of states to draw")
     _add_seed_option(p)
 
-    p = add("max-area", _cmd_max_area, "maximize the summed square area over a region")
+    p = add("max-area", _cmd_max_area, "exact maximum of the summed square area over a region")
     p.add_argument("--region", choices=("cube", "ball"), required=True)
-    p.add_argument("--grid-density", type=int, default=50, help="grid points per axis")
-    p.add_argument("--refinement-steps", type=int, default=20, help="step-halving rounds")
 
     p = add("quantum-fraction", _cmd_quantum_fraction, "Monte Carlo ball/cube volume ratio")
     p.add_argument("--n-samples", type=int, required=True, help="cube samples (>= 1000)")
@@ -231,6 +228,7 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
         return int(exc.code or 0)
     try:
         payload = args.handler(args)
+        text = None if payload is None else json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -240,8 +238,8 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if payload is not None:
-        out.write(json.dumps(payload, indent=2) + "\n")
+    if text is not None:
+        out.write(text)
     return 0
 
 

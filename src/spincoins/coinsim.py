@@ -19,6 +19,7 @@ from .core import (
     BALL_RADIUS_SQ,
     QUANTUM_BALL_ATOL,
     ProbabilityTriple,
+    _radius_squared,
 )
 from .observables import GameObservable
 
@@ -146,8 +147,8 @@ def _draw_state(region: SampleRegion, gen: np.random.Generator) -> ProbabilityTr
         # Rejection from the cube; acceptance rate is the ball/cube volume
         # ratio pi/6, which doubles as a statistical self-check.
         while True:
-            point = gen.random(3)
-            if float(np.sum((point - BALL_CENTER) ** 2)) <= BALL_RADIUS_SQ:
+            point = gen.random(3).tolist()
+            if _radius_squared(*point) <= BALL_RADIUS_SQ:
                 return ProbabilityTriple(*point)
     if region == "sphere":
         while True:
@@ -183,5 +184,5 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
         raise ValueError(f"n_samples must be at least 1000, got {n_samples}")
     gen = rng.generator()
     points = gen.random((n_samples, 3))
-    radius_sq = np.sum((points - BALL_CENTER) ** 2, axis=1)
+    radius_sq = _radius_squared(points[:, 0], points[:, 1], points[:, 2])
     return float(np.mean(radius_sq <= BALL_RADIUS_SQ + QUANTUM_BALL_ATOL))

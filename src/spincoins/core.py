@@ -50,6 +50,20 @@ class NonQuantumStateError(CoinStateError):
     """The operation is only defined for triples inside the quantum ball."""
 
 
+def _radius_squared(p1, p2, p3):
+    """Squared distance (p1 - 1/2)^2 + (p2 - 1/2)^2 + (p3 - 1/2)^2 from the ball center.
+
+    Takes floats or equally shaped arrays. The sum runs left to right, the
+    order the samplers' pinned streams depend on, and holds one offset at a
+    time so that a 10^7-row array needs two temporaries besides the total.
+    """
+    total = 0.0
+    for p in (p1, p2, p3):
+        d = p - BALL_CENTER
+        total += d * d
+    return total
+
+
 def _require_number(payload: Mapping[str, Any], field: str, kind: type[CoinStateError]) -> float:
     if field not in payload:
         raise kind(f"missing field {field!r}")
@@ -273,11 +287,10 @@ def quantum_validity(p: ProbabilityTriple) -> ValidityReport:
     ball center is at most 1/4, equivalently iff the smaller matrix
     eigenvalue 1/2 - sqrt(radius_squared) is nonnegative.
     """
+    radius_squared = _radius_squared(p.p1, p.p2, p.p3)
+    root = math.sqrt(radius_squared)
     d1 = p.p1 - 0.5
     d2 = p.p2 - 0.5
-    d3 = p.p3 - 0.5
-    radius_squared = d1 * d1 + d2 * d2 + d3 * d3
-    root = math.sqrt(radius_squared)
     return ValidityReport(
         radius_squared=radius_squared,
         is_quantum=radius_squared <= BALL_RADIUS_SQ + QUANTUM_BALL_ATOL,

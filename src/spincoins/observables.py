@@ -4,8 +4,7 @@ A game assigns payoffs to the faces of the three coins: coin 1 pays +x or
 -x, coin 2 pays +y or -y, coin 3 pays z1 or z2. The same quadruple packs
 into a Hermitian 2x2 matrix, so every qubit observable is a coin game and
 vice versa. Every moment of the observable is determined by its mean
-through a two-term linear recurrence; the matrix-power route is kept as an
-independent reference implementation.
+through a two-term linear recurrence.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .core import CoinStateError, NonQuantumStateError, ProbabilityTriple, probs_to_density
+from .core import CoinStateError, NonQuantumStateError, ProbabilityTriple, _require_number
 
 # Below this payoff radius the observable is a multiple of the identity
 # and the anisotropy coefficient is undefined.
@@ -111,15 +110,7 @@ class GameObservable:
     def from_dict(cls, payload: Mapping[str, Any]) -> "GameObservable":
         if not isinstance(payload, Mapping):
             raise InvalidObservableError(f"expected an object with x, y, z1, z2, got {payload!r}")
-        values = []
-        for field in ("x", "y", "z1", "z2"):
-            if field not in payload:
-                raise InvalidObservableError(f"missing field {field!r}")
-            value = payload[field]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InvalidObservableError(f"field {field!r} must be a number, got {value!r}")
-            values.append(float(value))
-        return cls(*values)
+        return cls(*(_require_number(payload, f, InvalidObservableError) for f in ("x", "y", "z1", "z2")))
 
 
 @dataclass(frozen=True)
@@ -213,26 +204,6 @@ def moments(p: ProbabilityTriple, obs: GameObservable, n_max: int) -> MomentSequ
         r=r,
         f=None if obs.is_degenerate() else _anisotropy(p, obs),
     )
-
-
-def moments_oracle(p: ProbabilityTriple, obs: GameObservable, n_max: int) -> MomentSequence:
-    """Same sequence by literal matrix powers Tr(rho A^n); no recurrence.
-
-    Reference implementation used to cross-check :func:`moments`.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    rho = probs_to_density(p).matrix
-    a = obs.to_matrix()
-    values = []
-    power = np.array(IDENTITY_2)
-    for _ in range(n_max + 1):
-        values.append(float(np.trace(rho @ power).real))
-        power = power @ a
-    f = None
-    if not obs.is_degenerate():
-        f = (float(np.trace(rho @ a).real) - obs.c) / obs.r
-    return MomentSequence(moments=tuple(values), c=obs.c, r=obs.r, f=f)
 
 
 def outcome_distribution(

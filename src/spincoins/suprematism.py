@@ -8,23 +8,22 @@ but only 3 over the quantum ball.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
-from .core import (
-    BALL_CENTER,
-    BALL_RADIUS_SQ,
-    ProbabilityTriple,
-)
+from .core import BALL_CENTER, ProbabilityTriple, _radius_squared
 
 # The radicand of the side-length formula is provably nonnegative on the
 # cube; anything below zero by more than this is a logic error, not noise.
 RADICAND_CLAMP_ATOL = 1e-12
 
 Region = Literal["cube", "ball"]
+
+# Offset of the ball's area maximisers from the center along (1, 1, 1):
+# the ball radius 1/2 divided by sqrt(3).
+_BALL_DIAGONAL_OFFSET = math.sqrt(3.0) / 6.0
 
 # Fixed canvas proportions for the SVG triad, in units of the scale factor.
 _SVG_PAD = 0.25
@@ -43,7 +42,10 @@ class MalevichTriad:
 
 @dataclass(frozen=True)
 class ExtremizationResult:
-    """Best point found by :func:`maximize_area` over the requested region."""
+    """Area maximiser over a region, from :func:`maximize_area`.
+
+    ``iterations`` is the number of candidate points evaluated.
+    """
 
     best_p: ProbabilityTriple
     best_value: float
@@ -92,105 +94,39 @@ def side_lengths(p: ProbabilityTriple) -> MalevichTriad:
 def area_sum_closed_form(p: ProbabilityTriple) -> float:
     """Summed square area, directly in closed form.
 
-    2 [3 + 2 (p1^2 + p2^2 + p3^2) - 3 (p1 + p2 + p3) + p1 p2 + p2 p3 + p3 p1]
+    With d = p - (1/2, 1/2, 1/2) the area is 3/2 + 3 |d|^2 + (d1 + d2 + d3)^2:
+    3/2 at the ball center, 3 on the sphere along +-(1, 1, 1), and 6 at the
+    cube vertices (0, 0, 0) and (1, 1, 1).
     """
-    p1, p2, p3 = p.as_tuple()
-    return 2.0 * (
-        3.0
-        + 2.0 * (p1 * p1 + p2 * p2 + p3 * p3)
-        - 3.0 * (p1 + p2 + p3)
-        + p1 * p2 + p2 * p3 + p3 * p1
-    )
+    offset_sum = (p.p1 - BALL_CENTER) + (p.p2 - BALL_CENTER) + (p.p3 - BALL_CENTER)
+    return 1.5 + 3.0 * _radius_squared(p.p1, p.p2, p.p3) + offset_sum * offset_sum
 
 
-def _area_sum_grid(points: np.ndarray) -> np.ndarray:
-    p1, p2, p3 = points[..., 0], points[..., 1], points[..., 2]
-    return 2.0 * (
-        3.0
-        + 2.0 * (p1 * p1 + p2 * p2 + p3 * p3)
-        - 3.0 * (p1 + p2 + p3)
-        + p1 * p2 + p2 * p3 + p3 * p1
-    )
+def maximize_area(region: Region) -> ExtremizationResult:
+    """Exact maximum of the summed square area over the cube or the quantum ball.
 
-
-def _project(point: np.ndarray, region: Region) -> np.ndarray:
-    """Clip to the cube; for the ball, first pull outside points radially onto the sphere."""
-    if region == "ball":
-        offset = point - BALL_CENTER
-        norm_sq = float(offset @ offset)
-        if norm_sq > BALL_RADIUS_SQ:
-            point = BALL_CENTER + offset * (math.sqrt(BALL_RADIUS_SQ / norm_sq))
-    return np.clip(point, 0.0, 1.0)
-
-
-def maximize_area(
-    region: Region,
-    grid_density: int = 50,
-    refinement_steps: int = 20,
-    *,
-    max_sweeps_per_step: int = 64,
-) -> ExtremizationResult:
-    """Maximize the summed square area over the cube or the quantum ball.
-
-    Deterministic two-stage search: a dense axis-aligned grid scan picks
-    the starting point, then a compass search refines it, halving the step
-    size ``refinement_steps`` times. Steps leaving the cube are clipped;
-    steps leaving the ball are projected radially onto the bounding
-    sphere, where the maximum of this convex objective must lie (an
-    outward radial move never decreases the area, so the sphere projection
-    is also offered as an explicit candidate).
-
-    Returns 6 for the cube (attained at the all-zeros and all-ones
-    vertices) and 3 for the ball.
+    The area is a convex function of p (see :func:`area_sum_closed_form`),
+    so its maximum over either region lies at an extreme point. Over the
+    cube the candidates are the eight vertices, in ``itertools.product``
+    order; the maximum 6 is attained at (0, 0, 0) and (1, 1, 1). Over the
+    ball |d|^2 <= 1/4 and (d1 + d2 + d3)^2 <= 3 |d|^2, with equality only
+    along +-(1, 1, 1); the candidates are p_k = 1/2 - sqrt(3)/6 and then
+    p_k = 1/2 + sqrt(3)/6, and the maximum is 3. The first candidate with
+    the largest area wins, and ``iterations`` counts the candidates
+    evaluated (8 for the cube, 2 for the ball).
     """
-    if region not in ("cube", "ball"):
+    if region == "cube":
+        points = itertools.product((0.0, 1.0), repeat=3)
+    elif region == "ball":
+        points = ((BALL_CENTER + sign * _BALL_DIAGONAL_OFFSET,) * 3 for sign in (-1.0, 1.0))
+    else:
         raise ValueError(f"region must be 'cube' or 'ball', got {region!r}")
-    if grid_density < 10:
-        raise ValueError(f"grid_density must be at least 10, got {grid_density}")
-    if refinement_steps < 0:
-        raise ValueError(f"refinement_steps must be nonnegative, got {refinement_steps}")
-
-    axis = np.linspace(0.0, 1.0, grid_density)
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    if region == "ball":
-        inside = np.sum((grid - BALL_CENTER) ** 2, axis=1) <= BALL_RADIUS_SQ + 1e-12
-        grid = grid[inside]
-    values = _area_sum_grid(grid)
-    best_index = int(np.argmax(values))
-    point = grid[best_index].copy()
-    best_value = float(values[best_index])
-
-    step = 1.0 / (grid_density - 1)
-    iterations = 0
-    for _ in range(refinement_steps):
-        for _ in range(max_sweeps_per_step):
-            iterations += 1
-            candidates = []
-            for k in range(3):
-                for sign in (step, -step):
-                    moved = point.copy()
-                    moved[k] += sign
-                    candidates.append(_project(moved, region))
-            if region == "ball":
-                offset = point - BALL_CENTER
-                norm_sq = float(offset @ offset)
-                if norm_sq > 1e-30:
-                    candidates.append(
-                        BALL_CENTER + offset * math.sqrt(BALL_RADIUS_SQ / norm_sq)
-                    )
-            candidate_values = [float(_area_sum_grid(c)) for c in candidates]
-            sweep_best = int(np.argmax(candidate_values))
-            if candidate_values[sweep_best] > best_value:
-                best_value = candidate_values[sweep_best]
-                point = candidates[sweep_best]
-            else:
-                break
-        step *= 0.5
-
+    candidates = [ProbabilityTriple(*point) for point in points]
+    best_p = max(candidates, key=area_sum_closed_form)
     return ExtremizationResult(
-        best_p=ProbabilityTriple(*point),
-        best_value=best_value,
-        iterations=iterations,
+        best_p=best_p,
+        best_value=area_sum_closed_form(best_p),
+        iterations=len(candidates),
         region=region,
     )
 

@@ -68,8 +68,18 @@ JSON_CASES: list[tuple[str, list[str], str]] = [
         "sample_result",
     ),
     (
+        "sample_cube",
+        ["sample", "--region", "cube", "--count", "3", "--seed", "7"],
+        "sample_result",
+    ),
+    (
+        "sample_sphere",
+        ["sample", "--region", "sphere", "--count", "3", "--seed", "7"],
+        "sample_result",
+    ),
+    (
         "max_area",
-        ["max-area", "--region", "ball", "--grid-density", "20", "--refinement-steps", "8"],
+        ["max-area", "--region", "ball"],
         "max_area_result",
     ),
     (

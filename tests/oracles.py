@@ -59,3 +59,86 @@ def random_ball_points(rng: np.random.Generator, count: int) -> np.ndarray:
         inside = batch[np.sum((batch - 0.5) ** 2, axis=1) <= 0.25]
         points = np.vstack([points, inside])
     return points[:count]
+
+
+def moments_oracle(p, obs, n_max: int) -> tuple[float, ...]:
+    """Moments m_0 .. m_{n_max} by literal matrix powers Tr(rho A^n); no recurrence."""
+    rho = coin_matrix(*p.as_tuple())
+    a = obs.to_matrix()
+    values = []
+    power = np.eye(2, dtype=complex)
+    for _ in range(n_max + 1):
+        values.append(trace_product(rho, power))
+        power = power @ a
+    return tuple(values)
+
+
+def area_polynomial(points: np.ndarray) -> np.ndarray:
+    """Summed square area in the expanded p form, for points of shape (..., 3).
+
+    2 [3 + 2 (p1^2 + p2^2 + p3^2) - 3 (p1 + p2 + p3) + p1 p2 + p2 p3 + p3 p1]
+    """
+    p1, p2, p3 = points[..., 0], points[..., 1], points[..., 2]
+    return 2.0 * (
+        3.0
+        + 2.0 * (p1 * p1 + p2 * p2 + p3 * p3)
+        - 3.0 * (p1 + p2 + p3)
+        + p1 * p2 + p2 * p3 + p3 * p1
+    )
+
+
+def _project(point: np.ndarray, region: str) -> np.ndarray:
+    """Clip to the cube; for the ball, first pull outside points radially onto the sphere."""
+    if region == "ball":
+        offset = point - 0.5
+        norm_sq = float(offset @ offset)
+        if norm_sq > 0.25:
+            point = 0.5 + offset * np.sqrt(0.25 / norm_sq)
+    return np.clip(point, 0.0, 1.0)
+
+
+def compass_search_max_area(
+    region: str,
+    grid_density: int = 50,
+    refinement_steps: int = 20,
+    max_sweeps_per_step: int = 64,
+) -> tuple[np.ndarray, float]:
+    """Numeric area maximum over the cube or ball: (best point, best value).
+
+    A dense axis-aligned grid scan picks the starting point, then a compass
+    search refines it, halving the step ``refinement_steps`` times. Steps
+    leaving the cube are clipped; steps leaving the ball are projected
+    radially onto the sphere, and the radial projection of the current
+    point is offered as an extra candidate.
+    """
+    axis = np.linspace(0.0, 1.0, grid_density)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    if region == "ball":
+        grid = grid[np.sum((grid - 0.5) ** 2, axis=1) <= 0.25 + 1e-12]
+    values = area_polynomial(grid)
+    best_index = int(np.argmax(values))
+    point = grid[best_index].copy()
+    best_value = float(values[best_index])
+
+    step = 1.0 / (grid_density - 1)
+    for _ in range(refinement_steps):
+        for _ in range(max_sweeps_per_step):
+            candidates = []
+            for k in range(3):
+                for move in (step, -step):
+                    moved = point.copy()
+                    moved[k] += move
+                    candidates.append(_project(moved, region))
+            if region == "ball":
+                offset = point - 0.5
+                norm_sq = float(offset @ offset)
+                if norm_sq > 1e-30:
+                    candidates.append(0.5 + offset * np.sqrt(0.25 / norm_sq))
+            candidate_values = [float(area_polynomial(c)) for c in candidates]
+            sweep_best = int(np.argmax(candidate_values))
+            if candidate_values[sweep_best] <= best_value:
+                break
+            best_value = candidate_values[sweep_best]
+            point = candidates[sweep_best]
+        step *= 0.5
+    return point, best_value

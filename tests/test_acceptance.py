@@ -20,6 +20,7 @@ from oracles import (
     coin_matrix,
     expm_hermitian_2x2,
     hermitian_eigenvalues,
+    moments_oracle,
     random_ball_points,
     random_cube_points,
     trace_product,
@@ -37,7 +38,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_01_classical_area_bound():
     start = time.perf_counter()
-    result = sc.maximize_area("cube", grid_density=50, refinement_steps=20)
+    result = sc.maximize_area("cube")
     elapsed = time.perf_counter() - start
     components = result.best_p.as_tuple()
     ok = (
@@ -55,9 +56,9 @@ def test_criterion_01_classical_area_bound():
 
 def test_criterion_02_quantum_area_bound_and_separation():
     start = time.perf_counter()
-    ball = sc.maximize_area("ball", grid_density=50, refinement_steps=20)
+    ball = sc.maximize_area("ball")
     elapsed = time.perf_counter() - start
-    cube = sc.maximize_area("cube", grid_density=50, refinement_steps=20)
+    cube = sc.maximize_area("cube")
     separation = cube.best_value - ball.best_value
     ok = (
         abs(ball.best_value - 3.0) <= 1e-4
@@ -111,7 +112,7 @@ def test_criterion_05_moment_machinery():
         p = sc.ProbabilityTriple(*point)
         obs = sc.GameObservable(*gen.uniform(-10.0, 10.0, size=4))
         fast = sc.moments(p, obs, 20).moments
-        slow = sc.moments_oracle(p, obs, 20).moments
+        slow = moments_oracle(p, obs, 20)
         for a, b in zip(fast, slow):
             worst_moment = max(worst_moment, abs(a - b) / max(1.0, abs(b)))
         matrix = obs.to_matrix()

@@ -78,8 +78,7 @@ class TestSubcommands:
             assert sum(offsets) <= 0.25 + 1e-9
 
     def test_max_area_cube(self):
-        code, out = run_cli(["max-area", "--region", "cube", "--grid-density", "15",
-                             "--refinement-steps", "5"])
+        code, out = run_cli(["max-area", "--region", "cube"])
         assert code == 0
         assert json.loads(out)["best_value"] == pytest.approx(6.0, abs=1e-6)
 
@@ -135,6 +134,21 @@ class TestExitCodes:
         code, _ = run_cli(["simulate", "--state", STATE_MIXED, "--obs", OBS_SIGMA_X,
                            "--n-tosses", "0"])
         assert code == 1
+
+    def test_domain_error_overflowing_moments_prints_no_json(self, capsys):
+        code, out = run_cli(
+            ["moments", "--n", "400", "--state", '{"p1": 0.5, "p2": 0.5, "p3": 1}',
+             "--obs", '{"x": 0, "y": 0, "z1": 10, "z2": -10}']
+        )
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--grid-density", "--refinement-steps"])
+    def test_usage_error_max_area_takes_only_region(self, flag):
+        code, out = run_cli(["max-area", "--region", "ball", flag, "20"])
+        assert code == 2
+        assert out == ""
 
     def test_usage_error_malformed_json(self, capsys):
         code, _ = run_cli(["validate", '{"p1": 0.5, "p2":'])

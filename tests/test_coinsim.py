@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import statistics
 
+import numpy as np
 import pytest
 
 import spincoins as sc
@@ -142,6 +143,15 @@ class TestQuantumFraction:
     def test_rejects_small_sample_count(self):
         with pytest.raises(ValueError, match="n_samples"):
             sc.quantum_fraction(999, sc.RngSpec(seed=0))
+
+    def test_matches_recount_of_the_same_stream(self):
+        # Redraw seed 1, stream 0 straight from PCG64 and count ball hits
+        # row by row with exactly rounded sums.
+        n = 123457
+        sequence = np.random.SeedSequence(entropy=1, spawn_key=(0,))
+        points = np.random.Generator(np.random.PCG64(sequence)).random((n, 3))
+        hits = sum(math.fsum((x - 0.5) ** 2 for x in row) <= 0.25 + 1e-9 for row in points.tolist())
+        assert sc.quantum_fraction(n, sc.RngSpec(seed=1)) == hits / n
 
     def test_ball_rejection_rate_cross_check(self):
         # The ball sampler accepts cube draws at the same pi/6 rate that

@@ -1,15 +1,19 @@
-"""Tests for the Malevich-square geometry and the area extremizer."""
+"""Tests for the Malevich-square geometry and the exact area maxima."""
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spincoins as sc
+from oracles import compass_search_max_area
 
 probabilities = st.floats(min_value=0.0, max_value=1.0)
 triples = st.builds(sc.ProbabilityTriple, probabilities, probabilities, probabilities)
@@ -75,42 +79,105 @@ def test_radicand_nonnegative_on_cube_bulk():
 
 class TestMaximizeArea:
     def test_cube_bound(self):
-        result = sc.maximize_area("cube", grid_density=50, refinement_steps=20)
+        result = sc.maximize_area("cube")
         assert result.best_value == pytest.approx(6.0, abs=1e-6)
         components = result.best_p.as_tuple()
         assert components[0] == components[1] == components[2]
         assert components[0] in (0.0, 1.0)
 
     def test_ball_bound(self):
-        result = sc.maximize_area("ball", grid_density=50, refinement_steps=20)
+        result = sc.maximize_area("ball")
         assert result.best_value == pytest.approx(3.0, abs=1e-4)
         assert sc.quantum_validity(result.best_p).radius_squared <= 0.25 + 1e-9
 
     def test_ball_coarse_scan_never_exceeds_bound(self):
-        result = sc.maximize_area("ball", grid_density=10, refinement_steps=0)
+        result = sc.maximize_area("ball")
         assert result.best_value <= 3.0 + 1e-9
 
     def test_bound_separation(self):
-        cube = sc.maximize_area("cube", grid_density=25, refinement_steps=10)
-        ball = sc.maximize_area("ball", grid_density=25, refinement_steps=10)
+        cube = sc.maximize_area("cube")
+        ball = sc.maximize_area("ball")
         assert ball.best_value < cube.best_value
 
     def test_deterministic(self):
-        first = sc.maximize_area("ball", grid_density=15, refinement_steps=5)
-        second = sc.maximize_area("ball", grid_density=15, refinement_steps=5)
+        first = sc.maximize_area("ball")
+        second = sc.maximize_area("ball")
         assert first == second
 
     def test_rejects_bad_region(self):
         with pytest.raises(ValueError, match="region"):
-            sc.maximize_area("sphere", grid_density=20, refinement_steps=5)
+            sc.maximize_area("sphere")
 
-    def test_rejects_sparse_grid(self):
-        with pytest.raises(ValueError, match="grid_density"):
-            sc.maximize_area("cube", grid_density=9, refinement_steps=5)
+    def test_cube_maximum_is_exact_at_first_vertex(self):
+        result = sc.maximize_area("cube")
+        assert result.best_value == 6.0
+        assert result.best_p == sc.ProbabilityTriple(0.0, 0.0, 0.0)
+        assert result.iterations == 8
 
-    def test_rejects_negative_refinement(self):
-        with pytest.raises(ValueError, match="refinement_steps"):
-            sc.maximize_area("cube", grid_density=20, refinement_steps=-1)
+    def test_ball_maximum_is_exact_on_the_diagonal(self):
+        result = sc.maximize_area("ball")
+        p_k = 0.5 - math.sqrt(3.0) / 6.0
+        assert result.best_value == 3.0
+        assert result.best_p == sc.ProbabilityTriple(p_k, p_k, p_k)
+        assert sc.quantum_validity(result.best_p).radius_squared <= 0.25
+        assert result.iterations == 2
+
+
+class TestCompassSearchOracle:
+    @pytest.mark.parametrize("region", ["cube", "ball"])
+    @pytest.mark.parametrize("grid_density,refinement_steps", [(10, 0), (10, 1), (20, 8), (50, 20)])
+    def test_never_beats_exact_maximum(self, region, grid_density, refinement_steps):
+        _, value = compass_search_max_area(region, grid_density, refinement_steps)
+        assert value <= sc.maximize_area(region).best_value + 1e-12
+
+    @pytest.mark.parametrize("region", ["cube", "ball"])
+    def test_reaches_exact_maximum(self, region):
+        point, value = compass_search_max_area(region)
+        assert value >= sc.maximize_area(region).best_value - 1e-4
+        assert sc.area_sum_closed_form(sc.ProbabilityTriple(*point)) == pytest.approx(value, abs=1e-12)
+
+
+class TestExactAreaAlgebra:
+    def test_p_polynomial_equals_offset_form(self):
+        p = sympy.symbols("p1 p2 p3", real=True)
+        half = sympy.Rational(1, 2)
+        d = [pk - half for pk in p]
+        polynomial = 2 * (
+            3 + 2 * sum(pk**2 for pk in p) - 3 * sum(p) + p[0] * p[1] + p[1] * p[2] + p[2] * p[0]
+        )
+        offset_form = sympy.Rational(3, 2) + 3 * sum(dk**2 for dk in d) + sum(d) ** 2
+        side_squares = sum(
+            2 * a**2 + 2 * b**2 + 2 * a * b - 4 * a - 2 * b + 2
+            for a, b in zip(p, p[1:] + p[:1])
+        )
+        assert sympy.expand(polynomial - offset_form) == 0
+        assert sympy.expand(side_squares - offset_form) == 0
+
+    def test_cube_maximum_in_rationals(self):
+        half = Fraction(1, 2)
+        areas = {
+            vertex: _exact_area([Fraction(v) - half for v in vertex])
+            for vertex in itertools.product((0, 1), repeat=3)
+        }
+        assert max(areas.values()) == 6
+        assert [v for v, a in areas.items() if a == 6] == [(0, 0, 0), (1, 1, 1)]
+        assert Fraction(sc.maximize_area("cube").best_value) == 6
+
+    def test_ball_maximum_in_rationals(self):
+        # On the diagonal d = -t (1, 1, 1) the sphere |d|^2 = 1/4 has t^2 = 1/12,
+        # where the area is 3/2 + 3 (3 t^2) + 9 t^2 = 3.
+        t_squared = Fraction(1, 12)
+        assert 3 * t_squared == Fraction(1, 4)
+        assert Fraction(3, 2) + 9 * t_squared + 9 * t_squared == 3
+        result = sc.maximize_area("ball")
+        d = [Fraction(x) - Fraction(1, 2) for x in result.best_p.as_tuple()]
+        assert sum(dk * dk for dk in d) <= Fraction(1, 4)
+        assert abs(_exact_area(d) - 3) <= Fraction(1, 2**50)
+        assert Fraction(result.best_value) == 3
+
+
+def _exact_area(d: list[Fraction]) -> Fraction:
+    return Fraction(3, 2) + 3 * sum(dk * dk for dk in d) + sum(d) ** 2
 
 
 class TestRenderTriadSvg:
