@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output SVG path")
     p.add_argument("--scale", type=float, default=100.0, help="pixels per unit side length")
 
-    p = add("moments", _cmd_moments, "observable moments m_0..m_N by recurrence")
+    p = add("moments", _cmd_moments, "observable moments m_0..m_N from the two-point law")
     p.add_argument("--state", required=True, help="state JSON or file path")
     p.add_argument("--obs", required=True, help='payoffs JSON {"x":..,"y":..,"z1":..,"z2":..}')
     p.add_argument("--n", type=int, required=True, help="highest moment order N")

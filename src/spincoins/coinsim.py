@@ -3,7 +3,8 @@
 The three coins are always tossed independently. The quantum-ball
 constraint restricts which parameter triples describe a qubit; it does not
 correlate the toss outcomes themselves. Every sampler takes an explicit
-:class:`RngSpec` so results are bit-for-bit reproducible.
+:class:`RngSpec` so results are bit-for-bit reproducible, and all of
+them draw rows through one array path, in bounded blocks.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .observables import GameObservable
 SampleRegion = Literal["cube", "ball", "sphere"]
 
 _SUPPORTED_ALGORITHMS = ("pcg64",)
+# Rows per array draw; bounds the samplers' temporaries at a few MB.
+_BLOCK_ROWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -140,49 +143,55 @@ def estimate(record: TossRecord, obs: GameObservable) -> SampleStats:
     )
 
 
-def _draw_state(region: SampleRegion, gen: np.random.Generator) -> ProbabilityTriple:
+def _draw(region: SampleRegion, gen: np.random.Generator, n: int) -> np.ndarray:
+    """Accepted rows, in stream order, among ``n`` rows drawn from ``gen``.
+
+    Ball rows are cube rows with r^2 <= 1/4 (acceptance rate pi/6). Sphere
+    rows are normal directions scaled onto the pure-state sphere; their norm
+    is summed in order, not by BLAS, so the stream is the same on every build.
+    """
     if region == "cube":
-        return ProbabilityTriple(*gen.random(3))
+        return gen.random((n, 3))
     if region == "ball":
-        # Rejection from the cube; acceptance rate is the ball/cube volume
-        # ratio pi/6, which doubles as a statistical self-check.
-        while True:
-            point = gen.random(3).tolist()
-            if _radius_squared(*point) <= BALL_RADIUS_SQ:
-                return ProbabilityTriple(*point)
+        rows = gen.random((n, 3))
+        return rows[_radius_squared(*rows.T) <= BALL_RADIUS_SQ]
     if region == "sphere":
-        while True:
-            direction = gen.standard_normal(3)
-            norm = float(np.linalg.norm(direction))
-            if norm > 0.0:
-                break
-        offset = direction * (0.5 / norm)
-        return ProbabilityTriple(*(BALL_CENTER + offset))
+        rows = gen.standard_normal((n, 3))
+        x0, x1, x2 = rows.T
+        norm = np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+        keep = norm > 0.0
+        return BALL_CENTER + rows[keep] * (0.5 / norm[keep])[:, None]
     raise ValueError(f"region must be 'cube', 'ball' or 'sphere', got {region!r}")
 
 
 def sample_state(region: SampleRegion, rng: RngSpec) -> ProbabilityTriple:
     """Draw one triple uniformly from the cube or ball, or from the pure-state sphere."""
-    return _draw_state(region, rng.generator())
+    return sample_states(region, 1, rng)[0]
 
 
 def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[ProbabilityTriple]:
-    """Draw ``count`` triples sequentially from a single stream."""
+    """Draw ``count`` triples sequentially from a single stream: its first ``count`` accepted rows."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     gen = rng.generator()
-    return [_draw_state(region, gen) for _ in range(count)]
+    blocks, held = [], 0
+    while held < count:
+        blocks.append(_draw(region, gen, min(count, _BLOCK_ROWS)))
+        held += len(blocks[-1])
+    return [ProbabilityTriple(*row) for row in np.concatenate(blocks)[:count].tolist()]
 
 
 def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
     """Fraction of uniform cube samples that are quantum-admissible.
 
     Converges to the ball/cube volume ratio pi/6 ~ 0.5235988 as the sample
-    count grows.
+    count grows. Rows are drawn in blocks of ``_BLOCK_ROWS``, so memory is O(block) for any count.
     """
     if n_samples < 1000:
         raise ValueError(f"n_samples must be at least 1000, got {n_samples}")
     gen = rng.generator()
-    points = gen.random((n_samples, 3))
-    radius_sq = _radius_squared(points[:, 0], points[:, 1], points[:, 2])
-    return float(np.mean(radius_sq <= BALL_RADIUS_SQ + QUANTUM_BALL_ATOL))
+    hits = 0
+    for start in range(0, n_samples, _BLOCK_ROWS):
+        rows = _draw("cube", gen, min(_BLOCK_ROWS, n_samples - start))
+        hits += int(np.count_nonzero(_radius_squared(*rows.T) <= BALL_RADIUS_SQ + QUANTUM_BALL_ATOL))
+    return hits / n_samples

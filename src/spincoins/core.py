@@ -64,6 +64,21 @@ def _radius_squared(p1, p2, p3):
     return total
 
 
+def _coerce_fields(
+    obj: Any, names: tuple[str, ...], kind: type[CoinStateError], low: float, high: float, domain: str
+) -> None:
+    """Store each named field as a finite float in [low, high]; else raise ``kind``, naming the field."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            numeric = float(value)
+        except (TypeError, ValueError):
+            raise kind(f"{name}={value!r} is not a number") from None
+        if not (math.isfinite(numeric) and low <= numeric <= high):
+            raise kind(f"{name}={value!r} is not {domain}")
+        object.__setattr__(obj, name, numeric)
+
+
 def _require_number(payload: Mapping[str, Any], field: str, kind: type[CoinStateError]) -> float:
     if field not in payload:
         raise kind(f"missing field {field!r}")
@@ -87,17 +102,9 @@ class ProbabilityTriple:
     p3: float
 
     def __post_init__(self) -> None:
-        for name in ("p1", "p2", "p3"):
-            value = getattr(self, name)
-            try:
-                numeric = float(value)
-            except (TypeError, ValueError):
-                raise InvalidProbabilityError(f"{name}={value!r} is not a number") from None
-            if not math.isfinite(numeric) or not 0.0 <= numeric <= 1.0:
-                raise InvalidProbabilityError(
-                    f"{name}={value!r} is not a coin probability in [0, 1]"
-                )
-            object.__setattr__(self, name, numeric)
+        _coerce_fields(
+            self, ("p1", "p2", "p3"), InvalidProbabilityError, 0.0, 1.0, "a coin probability in [0, 1]"
+        )
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p1, self.p2, self.p3)
@@ -132,13 +139,9 @@ class BlochVector:
     x3: float
 
     def __post_init__(self) -> None:
-        for name in ("x1", "x2", "x3"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or not -1.0 <= value <= 1.0:
-                raise InvalidBlochVectorError(
-                    f"{name}={getattr(self, name)!r} is not a mean spin projection in [-1, 1]"
-                )
-            object.__setattr__(self, name, value)
+        _coerce_fields(
+            self, ("x1", "x2", "x3"), InvalidBlochVectorError, -1.0, 1.0, "a mean spin projection in [-1, 1]"
+        )
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x1, self.x2, self.x3)

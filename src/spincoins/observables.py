@@ -1,10 +1,11 @@
-"""Coin-game observables: matrix form, statistics, and the moment recurrence.
+"""Coin-game observables: matrix form, statistics, and the two-point outcome law.
 
 A game assigns payoffs to the faces of the three coins: coin 1 pays +x or
 -x, coin 2 pays +y or -y, coin 3 pays z1 or z2. The same quadruple packs
 into a Hermitian 2x2 matrix, so every qubit observable is a coin game and
-vice versa. Every moment of the observable is determined by its mean
-through a two-term linear recurrence.
+vice versa. In any state the observable takes the two values c +- r
+with weights fixed by its mean, so every moment is read off that
+two-point law.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .core import CoinStateError, NonQuantumStateError, ProbabilityTriple, _require_number
+from .core import CoinStateError, NonQuantumStateError, ProbabilityTriple, _coerce_fields, _require_number
 
 # Below this payoff radius the observable is a multiple of the identity
 # and the anisotropy coefficient is undefined.
@@ -60,15 +61,7 @@ class GameObservable:
     z2: float
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "z1", "z2"):
-            value = getattr(self, name)
-            try:
-                numeric = float(value)
-            except (TypeError, ValueError):
-                raise InvalidObservableError(f"{name}={value!r} is not a number") from None
-            if not math.isfinite(numeric):
-                raise InvalidObservableError(f"{name}={value!r} is not finite")
-            object.__setattr__(self, name, numeric)
+        _coerce_fields(self, ("x", "y", "z1", "z2"), InvalidObservableError, -math.inf, math.inf, "finite")
 
     @property
     def c(self) -> float:
@@ -154,55 +147,49 @@ def mean(p: ProbabilityTriple, obs: GameObservable) -> float:
     )
 
 
+def _two_point_law(p: ProbabilityTriple, obs: GameObservable) -> tuple[float, float, float]:
+    """Anisotropy f = (<A> - c) / r (0 if r = 0) and the weights (1 + f) / 2, (1 - f) / 2 of c + r, c - r."""
+    f = 0.0 if obs.is_degenerate() else (mean(p, obs) - obs.c) / obs.r
+    return f, (1.0 + f) / 2.0, (1.0 - f) / 2.0
+
+
 def second_moment(p: ProbabilityTriple, obs: GameObservable) -> float:
-    """Second moment (z1 + z2) <A> + r^2 - c^2, valid for any cube triple."""
-    return (obs.z1 + obs.z2) * mean(p, obs) + obs.r**2 - obs.c**2
-
-
-def _anisotropy(p: ProbabilityTriple, obs: GameObservable) -> float:
-    return (mean(p, obs) - obs.c) / obs.r
+    """Second moment w+ (c + r)^2 + w- (c - r)^2, valid for any cube triple."""
+    _, w_plus, w_minus = _two_point_law(p, obs)
+    c, r = obs.c, obs.r
+    return w_plus * (c + r) ** 2 + w_minus * (c - r) ** 2
 
 
 def generating_function(p: ProbabilityTriple, obs: GameObservable, lam: float) -> float:
     """Moment generating function G(lam) = Tr(rho exp(lam A)) in closed form.
 
-    Splitting the matrix into c * I plus a traceless part of radius r
-    gives G(lam) = exp(lam c) [cosh(lam r) + f sinh(lam r)] with
-    f = (<A> - c) / r. For degenerate observables (r = 0) this collapses
-    to exp(lam c).
+    From the two-point law, G(lam) = w+ exp(lam (c + r)) + w- exp(lam (c - r));
+    for degenerate observables (r = 0) this collapses to exp(lam c).
     """
     if not math.isfinite(lam):
         raise ValueError(f"lam={lam!r} is not finite")
-    if obs.is_degenerate():
-        return math.exp(lam * obs.c)
-    r = obs.r
-    f = _anisotropy(p, obs)
-    return math.exp(lam * obs.c) * (math.cosh(lam * r) + f * math.sinh(lam * r))
+    _, w_plus, w_minus = _two_point_law(p, obs)
+    c, r = obs.c, obs.r
+    return w_plus * math.exp(lam * (c + r)) + w_minus * math.exp(lam * (c - r))
 
 
 def moments(p: ProbabilityTriple, obs: GameObservable, n_max: int) -> MomentSequence:
-    """Moments m_0 .. m_{n_max} via the two-term linear recurrence.
+    """Moments m_n = w+ (c + r)^n + w- (c - r)^n for n = 0 .. n_max, from the two-point law.
 
-    The generating function satisfies G'' = 2c G' + (r^2 - c^2) G, so
-
-        m_{n+2} = 2 c m_{n+1} + (r^2 - c^2) m_n,  m_0 = 1,  m_1 = <A>.
-
-    Every moment therefore depends on the state only through the mean.
+    Every moment depends on the state only through the mean, and each is
+    accurate at every order; a power beyond the float range raises OverflowError.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    f, w_plus, w_minus = _two_point_law(p, obs)
     c, r = obs.c, obs.r
-    values = [1.0]
-    if n_max >= 1:
-        values.append(mean(p, obs))
-    coeff = r * r - c * c
-    for _ in range(n_max - 1):
-        values.append(2.0 * c * values[-1] + coeff * values[-2])
+    # A list, not a generator: tuple() of a list allocates the exact size, which
+    # keeps CPython's per-size tuple free lists from filling up (MBs of RSS).
     return MomentSequence(
-        moments=tuple(values),
+        moments=tuple([w_plus * (c + r) ** n + w_minus * (c - r) ** n for n in range(n_max + 1)]),
         c=c,
         r=r,
-        f=None if obs.is_degenerate() else _anisotropy(p, obs),
+        f=None if obs.is_degenerate() else f,
     )
 
 
@@ -218,7 +205,7 @@ def outcome_distribution(
     """
     if obs.is_degenerate():
         return [(obs.c, 1.0)]
-    f = _anisotropy(p, obs)
+    f, _, _ = _two_point_law(p, obs)
     if abs(f) > 1.0 + ANISOTROPY_ATOL:
         raise NonQuantumStateError(
             f"anisotropy coefficient {f!r} exceeds 1 in magnitude; "

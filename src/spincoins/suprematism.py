@@ -141,16 +141,16 @@ def render_triad_svg(triad: MalevichTriad, *, scale: float = 100.0) -> str:
 
     Three axis-aligned squares sit on a common baseline, left to right in
     index order, filled red, black, and white with black outlines. Side
-    lengths are ``scale`` pixels per unit. Output bytes are deterministic
-    for a fixed triad and scale.
+    lengths are ``scale`` pixels per unit, on a canvas whose size must be
+    finite. Output bytes are deterministic for a fixed triad and scale.
     """
-    if not math.isfinite(scale) or scale <= 0.0:
-        raise ValueError(f"scale must be a positive number, got {scale!r}")
     pad = _SVG_PAD * scale
     gap = _SVG_GAP * scale
     sides_px = [side * scale for side in triad.sides]
     width = 2.0 * pad + sum(sides_px) + 2.0 * gap
     height = 2.0 * pad + _MAX_SIDE * scale
+    if not (scale > 0.0 and math.isfinite(width) and math.isfinite(height)):
+        raise ValueError(f"scale must be a positive number giving a finite canvas, got {scale!r}")
     baseline = height - pad
 
     lines = [

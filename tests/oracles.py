@@ -7,6 +7,9 @@ products) so that agreement with the library is evidence, not tautology.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -61,6 +64,35 @@ def random_ball_points(rng: np.random.Generator, count: int) -> np.ndarray:
     return points[:count]
 
 
+def reference_states(region: str, count: int, gen: np.random.Generator) -> list[tuple[float, float, float]]:
+    """Per-draw sampler: ``count`` triples, drawing one row of three numbers at a time.
+
+    Cube rows are kept as drawn. Ball rows are redrawn until the
+    left-to-right sum of squared offsets from 1/2 is at most 1/4. Sphere
+    rows are standard normal directions, redrawn while their norm is 0 and
+    scaled onto the sphere of radius 1/2 around the center, with the norm
+    summed in order and rooted by ``math.sqrt``.
+    """
+    states = []
+    while len(states) < count:
+        if region == "cube":
+            states.append(tuple(gen.random(3).tolist()))
+        elif region == "ball":
+            point = gen.random(3).tolist()
+            d = [x - 0.5 for x in point]
+            if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= 0.25:
+                states.append(tuple(point))
+        elif region == "sphere":
+            x0, x1, x2 = gen.standard_normal(3).tolist()
+            norm = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+            if norm > 0.0:
+                scale = 0.5 / norm
+                states.append((0.5 + x0 * scale, 0.5 + x1 * scale, 0.5 + x2 * scale))
+        else:
+            raise ValueError(f"unknown region {region!r}")
+    return states
+
+
 def moments_oracle(p, obs, n_max: int) -> tuple[float, ...]:
     """Moments m_0 .. m_{n_max} by literal matrix powers Tr(rho A^n); no recurrence."""
     rho = coin_matrix(*p.as_tuple())
@@ -71,6 +103,29 @@ def moments_oracle(p, obs, n_max: int) -> tuple[float, ...]:
         values.append(trace_product(rho, power))
         power = power @ a
     return tuple(values)
+
+
+def moments_exact(p, obs, n_max: int) -> tuple[float, ...]:
+    """Moments m_0 .. m_{n_max} of the float inputs, each exactly computed then rounded once.
+
+    By Cayley-Hamilton A^2 = 2c A + (r^2 - c^2) I, so the moments obey
+    m_{n+2} = 2c m_{n+1} + (r^2 - c^2) m_n from m_0 = 1 and m_1 = Tr(rho A).
+    Floats are dyadic rationals, so the denominators of 2c, r^2 - c^2 and
+    m_1 are powers of two; with S the largest of them, M_n = S^n m_n is an
+    integer sequence with integer coefficients. It is run exactly, and each
+    M_n / S^n is rounded once by Python's correctly rounded int division.
+    """
+    p1, p2, p3 = (Fraction(v) for v in p.as_tuple())
+    x, y, z1, z2 = (Fraction(v) for v in (obs.x, obs.y, obs.z1, obs.z2))
+    c, z = (z1 + z2) / 2, (z1 - z2) / 2
+    coeff = x * x + y * y + z * z - c * c
+    first = (2 * p1 - 1) * x + (2 * p2 - 1) * y + p3 * z1 + (1 - p3) * z2
+    scale = max(q.denominator for q in (2 * c, coeff, first))
+    a, b = int(2 * c * scale), int(coeff * scale * scale)
+    numerators = [1, int(first * scale)]
+    while len(numerators) <= n_max:
+        numerators.append(a * numerators[-1] + b * numerators[-2])
+    return tuple(m / scale**n for n, m in enumerate(numerators[: n_max + 1]))
 
 
 def area_polynomial(points: np.ndarray) -> np.ndarray:

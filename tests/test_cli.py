@@ -150,6 +150,14 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
 
+    def test_domain_error_render_scale_overflowing_canvas(self, tmp_path, capsys):
+        out_path = tmp_path / "triad.svg"
+        code, out = run_cli(["render", STATE_MIXED, "--out", str(out_path), "--scale", "1e308"])
+        assert code == 1
+        assert out == ""
+        assert not out_path.exists()
+        assert "finite canvas" in capsys.readouterr().err
+
     def test_usage_error_malformed_json(self, capsys):
         code, _ = run_cli(["validate", '{"p1": 0.5, "p2":'])
         assert code == 2

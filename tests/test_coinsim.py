@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import spincoins as sc
+from oracles import reference_states
 
 PI_SIXTH = math.pi / 6.0
 
@@ -126,6 +127,19 @@ class TestSampleState:
         assert len(set(states)) == 4
         assert states == sc.sample_states("cube", 4, spec)
 
+    @pytest.mark.parametrize("region", ["cube", "ball", "sphere"])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_streams_match_per_draw_reference(self, region, seed):
+        spec = sc.RngSpec(seed=seed)
+        states = [s.as_tuple() for s in sc.sample_states(region, 20000, spec)]
+        assert states == reference_states(region, 20000, spec.generator())
+
+    @pytest.mark.parametrize("region", ["cube", "ball", "sphere"])
+    def test_single_draw_is_first_bulk_draw(self, region):
+        for seed in range(20):
+            spec = sc.RngSpec(seed=seed)
+            assert sc.sample_state(region, spec) == sc.sample_states(region, 1, spec)[0]
+
     def test_bulk_sampler_rejects_zero_count(self):
         with pytest.raises(ValueError, match="count"):
             sc.sample_states("cube", 0, sc.RngSpec(seed=0))
@@ -151,6 +165,23 @@ class TestQuantumFraction:
         sequence = np.random.SeedSequence(entropy=1, spawn_key=(0,))
         points = np.random.Generator(np.random.PCG64(sequence)).random((n, 3))
         hits = sum(math.fsum((x - 0.5) ** 2 for x in row) <= 0.25 + 1e-9 for row in points.tolist())
+        assert sc.quantum_fraction(n, sc.RngSpec(seed=1)) == hits / n
+
+    def test_matches_blocked_recount_at_ten_million(self):
+        # The same recount over 10^7 rows, drawn in blocks to bound memory.
+        # numpy's sum of the rounded squares is within a few ulps of the
+        # exactly rounded one, so only rows within 1e-12 of the threshold
+        # are recounted with math.fsum.
+        n, block, threshold = 10**7, 2**20, 0.25 + 1e-9
+        sequence = np.random.SeedSequence(entropy=1, spawn_key=(0,))
+        gen = np.random.Generator(np.random.PCG64(sequence))
+        hits = 0
+        for start in range(0, n, block):
+            squares = (gen.random((min(block, n - start), 3)) - 0.5) ** 2
+            radius_sq = squares.sum(axis=1)
+            near = np.abs(radius_sq - threshold) <= 1e-12
+            hits += int(np.count_nonzero(radius_sq[~near] <= threshold))
+            hits += sum(math.fsum(row) <= threshold for row in squares[near].tolist())
         assert sc.quantum_fraction(n, sc.RngSpec(seed=1)) == hits / n
 
     def test_ball_rejection_rate_cross_check(self):

@@ -207,6 +207,14 @@ class TestBlochMaps:
         with pytest.raises(sc.InvalidBlochVectorError):
             sc.BlochVector(1.5, 0.0, 0.0)
 
+    def test_none_component_names_field(self):
+        with pytest.raises(sc.InvalidBlochVectorError, match="x1=None is not a number"):
+            sc.BlochVector(None, 0, 0)
+
+    def test_non_numeric_string_names_field(self):
+        with pytest.raises(sc.InvalidBlochVectorError, match="x1='a' is not a number"):
+            sc.BlochVector("a", 0, 0)
+
     @given(triples)
     def test_maps_are_mutually_inverse(self, p):
         back = sc.bloch_to_probs(sc.probs_to_bloch(p))

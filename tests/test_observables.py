@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import spincoins as sc
-from oracles import coin_matrix, expm_hermitian_2x2, moments_oracle, random_ball_points, trace_product
+from oracles import (
+    coin_matrix,
+    expm_hermitian_2x2,
+    moments_exact,
+    moments_oracle,
+    random_ball_points,
+    trace_product,
+)
 
 SIGMA_X_GAME = sc.GameObservable(1, 0, 0, 0)
 SIGMA_Z_GAME = sc.GameObservable(0, 0, 1, -1)
@@ -210,6 +217,44 @@ class TestMoments:
             seq = sc.moments(p, obs, 20)
             for n, m in enumerate(seq.moments):
                 assert abs(m) <= reach**n * (1.0 + 1e-9) + 1e-12
+
+
+def assert_moments_exact(p: sc.ProbabilityTriple, obs: sc.GameObservable, n_max: int) -> None:
+    # Error bound relative to the two-point law's absolute scale
+    # |w+| |c + r|^n + |w-| |c - r|^n, floored at 1. The oracle is exact to
+    # half an ulp, far inside the bound.
+    seq = sc.moments(p, obs, n_max)
+    f = 0.0 if seq.f is None else seq.f
+    w_plus, w_minus = abs(1.0 + f) / 2.0, abs(1.0 - f) / 2.0
+    hi, lo = abs(seq.c + seq.r), abs(seq.c - seq.r)
+    for n, (value, exact) in enumerate(zip(seq.moments, moments_exact(p, obs, n_max))):
+        scale = max(1.0, w_plus * hi**n + w_minus * lo**n)
+        assert abs(value - exact) <= 1e-12 * scale, (n, value, exact)
+
+
+class TestMomentsExact:
+    def test_random_pairs_to_order_200(self):
+        gen = np.random.default_rng(67)
+        for point in random_ball_points(gen, 200):
+            assert_moments_exact(sc.ProbabilityTriple(*point), random_observable(gen), 200)
+
+    def test_eigenstates_of_smaller_outcome_to_order_200(self):
+        # Diagonal games with payoffs on a 1/64 grid, in the eigenstate of
+        # the outcome of smaller magnitude: c, r and f = +-1 are exact, so
+        # all weight sits on the outcome a forward recurrence loses.
+        gen = np.random.default_rng(71)
+        for _ in range(200):
+            z1, z2 = (float(v) / 64.0 for v in gen.integers(-640, 641, size=2))
+            p = sc.ProbabilityTriple(0.5, 0.5, 1.0 if abs(z1) < abs(z2) else 0.0)
+            assert_moments_exact(p, sc.GameObservable(0.0, 0.0, z1, z2), 200)
+
+    def test_weight_on_smaller_outcome_at_order_60(self):
+        # All weight sits on the outcome -0.625 while the other is 4, the
+        # case where a forward recurrence amplifies rounding by (4/0.625)^n.
+        p = sc.ProbabilityTriple(0.5, 0.5, 0.0)
+        obs = sc.GameObservable(0.0, 0.0, 4.0, -0.625)
+        assert_moments_exact(p, obs, 60)
+        assert sc.moments(p, obs, 60).moments[60] == pytest.approx(0.625**60, rel=1e-14)
 
 
 class TestMomentsOracle:
