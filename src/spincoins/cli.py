@@ -7,6 +7,11 @@ flags). Stdout is strict JSON, never NaN or Infinity, and stays empty on
 an error. Output is byte deterministic for identical argv and seed; the
 default seed can be overridden with the ``SPINCOINS_SEED`` environment
 variable.
+
+Flags that size the work have upper bounds, and a larger value exits 1:
+``sample --count`` at most ``MAX_SAMPLE_COUNT``, ``moments --n`` at most
+``MAX_MOMENT_ORDER``, ``render --scale`` at most ``suprematism.MAX_SCALE``
+and ``simulate --n-tosses`` at most ``coinsim.MAX_TOSSES``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from . import coinsim, core, observables, suprematism
 
 SEED_ENV_VAR = "SPINCOINS_SEED"
 DEFAULT_SEED = 0
+MAX_SAMPLE_COUNT = 10**5
+MAX_MOMENT_ORDER = 10**5
 
 
 class UsageError(Exception):
@@ -91,8 +98,15 @@ def _cmd_render(args: argparse.Namespace) -> None:
     Path(args.out).write_bytes(svg.encode("utf-8"))
 
 
+def _at_most(value: int, bound: int, flag: str) -> int:
+    if value > bound:
+        raise ValueError(f"{flag} must be at most {bound}, got {value}")
+    return value
+
+
 def _cmd_moments(args: argparse.Namespace) -> dict[str, Any]:
-    seq = observables.moments(_state(args.state), _observable(args.obs), args.n)
+    n = _at_most(args.n, MAX_MOMENT_ORDER, "--n")
+    seq = observables.moments(_state(args.state), _observable(args.obs), n)
     return seq.to_dict()
 
 
@@ -121,7 +135,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
 
 def _cmd_sample(args: argparse.Namespace) -> dict[str, Any]:
     rng = coinsim.RngSpec(seed=args.seed if args.seed is not None else _default_seed())
-    states = coinsim.sample_states(args.region, args.count, rng)
+    states = coinsim.sample_states(args.region, _at_most(args.count, MAX_SAMPLE_COUNT, "--count"), rng)
     return {
         "region": args.region,
         "seed": rng.seed,
@@ -185,12 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("render", _cmd_render, "render the Malevich triad to an SVG file")
     p.add_argument("state", help="state JSON or file path")
     p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--scale", type=float, default=100.0, help="pixels per unit side length")
+    p.add_argument(
+        "--scale", type=float, default=100.0, help=f"pixels per unit side length (at most {suprematism.MAX_SCALE:g})"
+    )
 
     p = add("moments", _cmd_moments, "observable moments m_0..m_N from the two-point law")
     p.add_argument("--state", required=True, help="state JSON or file path")
     p.add_argument("--obs", required=True, help='payoffs JSON {"x":..,"y":..,"z1":..,"z2":..}')
-    p.add_argument("--n", type=int, required=True, help="highest moment order N")
+    p.add_argument("--n", type=int, required=True, help=f"highest moment order N (at most {MAX_MOMENT_ORDER})")
 
     p = add("genfun", _cmd_genfun, "moment generating function at one point")
     p.add_argument("--state", required=True, help="state JSON or file path")
@@ -200,12 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("simulate", _cmd_simulate, "toss the coins and estimate payoff statistics")
     p.add_argument("--state", required=True, help="state JSON or file path")
     p.add_argument("--obs", required=True, help="payoffs JSON or file path")
-    p.add_argument("--n-tosses", type=int, required=True, help="tosses per coin")
+    p.add_argument("--n-tosses", type=int, required=True, help="tosses per coin (at most 2**63 - 1)")
     _add_seed_option(p)
 
     p = add("sample", _cmd_sample, "draw random states from a region")
     p.add_argument("--region", choices=("cube", "ball", "sphere"), required=True)
-    p.add_argument("--count", type=int, default=1, help="number of states to draw")
+    p.add_argument("--count", type=int, default=1, help=f"number of states to draw (at most {MAX_SAMPLE_COUNT})")
     _add_seed_option(p)
 
     p = add("max-area", _cmd_max_area, "exact maximum of the summed square area over a region")

@@ -19,6 +19,7 @@ from .core import (
     BALL_CENTER,
     BALL_RADIUS_SQ,
     QUANTUM_BALL_ATOL,
+    InvalidProbabilityError,
     ProbabilityTriple,
     _radius_squared,
 )
@@ -27,6 +28,8 @@ from .observables import GameObservable
 SampleRegion = Literal["cube", "ball", "sphere"]
 
 _SUPPORTED_ALGORITHMS = ("pcg64",)
+# Most tosses per coin: numpy's binomial takes the count as a C long.
+MAX_TOSSES = 2**63 - 1
 # Rows per array draw; bounds the samplers' temporaries at a few MB.
 _BLOCK_ROWS = 2**16
 
@@ -115,10 +118,13 @@ def toss(p: ProbabilityTriple, n: int, rng: RngSpec) -> TossRecord:
     """Toss the three coins ``n`` times each, independently.
 
     The counts are three binomial draws with success probabilities
-    (p1, p2, p3); fixing the spec fixes the record exactly.
+    (p1, p2, p3); fixing the spec fixes the record exactly. ``n`` runs from
+    1 to :data:`MAX_TOSSES`.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if n > MAX_TOSSES:
+        raise ValueError(f"n must be at most 2**63 - 1, got {n}")
     gen = rng.generator()
     counts = gen.binomial(n, [p.p1, p.p2, p.p3])
     return TossRecord(n_tosses=n, heads_counts=tuple(int(c) for c in counts))
@@ -154,11 +160,10 @@ def _draw(region: SampleRegion, gen: np.random.Generator, n: int) -> np.ndarray:
         return gen.random((n, 3))
     if region == "ball":
         rows = gen.random((n, 3))
-        return rows[_radius_squared(*rows.T) <= BALL_RADIUS_SQ]
+        return rows[_radius_squared(*(rows - BALL_CENTER).T) <= BALL_RADIUS_SQ]
     if region == "sphere":
         rows = gen.standard_normal((n, 3))
-        x0, x1, x2 = rows.T
-        norm = np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+        norm = np.sqrt(_radius_squared(*rows.T))
         keep = norm > 0.0
         return BALL_CENTER + rows[keep] * (0.5 / norm[keep])[:, None]
     raise ValueError(f"region must be 'cube', 'ball' or 'sphere', got {region!r}")
@@ -170,7 +175,13 @@ def sample_state(region: SampleRegion, rng: RngSpec) -> ProbabilityTriple:
 
 
 def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[ProbabilityTriple]:
-    """Draw ``count`` triples sequentially from a single stream: its first ``count`` accepted rows."""
+    """Draw ``count`` triples sequentially from a single stream: its first ``count`` accepted rows.
+
+    The rows are range-checked once, as one array, and a row outside
+    [0, 1] (NaN included) raises :class:`InvalidProbabilityError` naming
+    it. The checked rows then become triples through the trusted
+    constructor, column by column, with no per-field validation.
+    """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     gen = rng.generator()
@@ -178,14 +189,21 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
     while held < count:
         blocks.append(_draw(region, gen, min(count, _BLOCK_ROWS)))
         held += len(blocks[-1])
-    return [ProbabilityTriple(*row) for row in np.concatenate(blocks)[:count].tolist()]
+    rows = np.concatenate(blocks)[:count]
+    in_range = (rows >= 0.0) & (rows <= 1.0)
+    if not in_range.all():
+        bad = int(np.flatnonzero(~in_range.all(axis=1))[0])
+        raise InvalidProbabilityError(f"sampled row {bad}={rows[bad].tolist()!r} is not a coin probability in [0, 1]")
+    return list(map(ProbabilityTriple._unchecked, *rows.T.tolist()))
 
 
 def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
     """Fraction of uniform cube samples that are quantum-admissible.
 
     Converges to the ball/cube volume ratio pi/6 ~ 0.5235988 as the sample
-    count grows. Rows are drawn in blocks of ``_BLOCK_ROWS``, so memory is O(block) for any count.
+    count grows. Rows are drawn in blocks of ``_BLOCK_ROWS``, so memory is
+    O(block) for any count; each block is centred in place and its radius^2
+    summed with one running total.
     """
     if n_samples < 1000:
         raise ValueError(f"n_samples must be at least 1000, got {n_samples}")
@@ -193,5 +211,6 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
     hits = 0
     for start in range(0, n_samples, _BLOCK_ROWS):
         rows = _draw("cube", gen, min(_BLOCK_ROWS, n_samples - start))
+        rows -= BALL_CENTER
         hits += int(np.count_nonzero(_radius_squared(*rows.T) <= BALL_RADIUS_SQ + QUANTUM_BALL_ATOL))
     return hits / n_samples

@@ -50,18 +50,22 @@ class NonQuantumStateError(CoinStateError):
     """The operation is only defined for triples inside the quantum ball."""
 
 
-def _radius_squared(p1, p2, p3):
-    """Squared distance (p1 - 1/2)^2 + (p2 - 1/2)^2 + (p3 - 1/2)^2 from the ball center.
+def _radius_squared(d1, d2, d3):
+    """Squared length (d1^2 + d2^2) + d3^2 of a 3-vector d, such as a triple's offset p - 1/2 from the ball center.
 
     Takes floats or equally shaped arrays. The sum runs left to right, the
-    order the samplers' pinned streams depend on, and holds one offset at a
-    time so that a 10^7-row array needs two temporaries besides the total.
+    order the samplers' pinned streams depend on; on arrays numpy adds each
+    square into the running total in place, so the only temporaries are the
+    total and one square.
     """
-    total = 0.0
-    for p in (p1, p2, p3):
-        d = p - BALL_CENTER
-        total += d * d
-    return total
+    return d1 * d1 + d2 * d2 + d3 * d3
+
+
+def _is_number(value: Any) -> bool:
+    """The one input test for numeric fields: an int or float (numpy floats included), never a bool."""
+    if type(value) is float:  # the common case, tested first to keep the constructors cheap
+        return True
+    return isinstance(value, (int, float, np.floating)) and not isinstance(value, bool)
 
 
 def _coerce_fields(
@@ -70,10 +74,9 @@ def _coerce_fields(
     """Store each named field as a finite float in [low, high]; else raise ``kind``, naming the field."""
     for name in names:
         value = getattr(obj, name)
-        try:
-            numeric = float(value)
-        except (TypeError, ValueError):
-            raise kind(f"{name}={value!r} is not a number") from None
+        if not _is_number(value):
+            raise kind(f"{name}={value!r} is not a number")
+        numeric = float(value)
         if not (math.isfinite(numeric) and low <= numeric <= high):
             raise kind(f"{name}={value!r} is not {domain}")
         object.__setattr__(obj, name, numeric)
@@ -83,9 +86,14 @@ def _require_number(payload: Mapping[str, Any], field: str, kind: type[CoinState
     if field not in payload:
         raise kind(f"missing field {field!r}")
     value = payload[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise kind(f"field {field!r} must be a number, got {value!r}")
     return float(value)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^H) / 2, the form in which :class:`DensityMatrix` stores every matrix."""
+    return (m + m.conj().T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -105,6 +113,15 @@ class ProbabilityTriple:
         _coerce_fields(
             self, ("p1", "p2", "p3"), InvalidProbabilityError, 0.0, 1.0, "a coin probability in [0, 1]"
         )
+
+    @classmethod
+    def _unchecked(cls, p1: float, p2: float, p3: float) -> "ProbabilityTriple":
+        """Trusted constructor for floats already known to lie in [0, 1]; skips ``__post_init__``."""
+        triple = object.__new__(cls)
+        object.__setattr__(triple, "p1", p1)
+        object.__setattr__(triple, "p2", p2)
+        object.__setattr__(triple, "p3", p3)
+        return triple
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p1, self.p2, self.p3)
@@ -179,7 +196,7 @@ class DensityMatrix:
             raise InvalidDensityMatrixError(
                 f"field 'm' is not Hermitian: max deviation {deviation:.3e} exceeds {HERMITICITY_ATOL:.0e}"
             )
-        m = (m + m.conj().T) / 2.0
+        m = _hermitian_part(m)
         trace = m[0, 0].real + m[1, 1].real
         if abs(trace - 1.0) > TRACE_ATOL:
             raise InvalidDensityMatrixError(
@@ -187,6 +204,22 @@ class DensityMatrix:
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _unchecked(cls, m: np.ndarray) -> "DensityMatrix":
+        """Trusted constructor for a finite complex 2x2 array that is Hermitian with unit trace.
+
+        It skips the checks but stores the same Hermitian part as the
+        validated constructor, so the matrix is bit-identical to
+        ``DensityMatrix(m)``. Even an exact conjugate pair is not a fixed
+        point bit for bit: halving complex sums can flip the sign of a zero
+        imaginary part.
+        """
+        rho = object.__new__(cls)
+        h = _hermitian_part(m)
+        h.setflags(write=False)
+        object.__setattr__(rho, "matrix", h)
+        return rho
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DensityMatrix):
@@ -261,10 +294,11 @@ def probs_to_density(p: ProbabilityTriple) -> DensityMatrix:
     The z coin fixes the diagonal (p3, 1 - p3); the x and y coins fix the
     off-diagonal entry (p1 - 1/2) + i (p2 - 1/2) and its conjugate. The
     result is always Hermitian with unit trace, but positive semidefinite
-    only for triples inside the quantum ball.
+    only for triples inside the quantum ball. The matrix is built through
+    the trusted constructor, because the triple is already validated.
     """
     off = complex(p.p1 - 0.5, p.p2 - 0.5)
-    return DensityMatrix(
+    return DensityMatrix._unchecked(
         np.array([[p.p3, off.conjugate()], [off, 1.0 - p.p3]], dtype=complex)
     )
 
@@ -290,10 +324,9 @@ def quantum_validity(p: ProbabilityTriple) -> ValidityReport:
     ball center is at most 1/4, equivalently iff the smaller matrix
     eigenvalue 1/2 - sqrt(radius_squared) is nonnegative.
     """
-    radius_squared = _radius_squared(p.p1, p.p2, p.p3)
+    d1, d2, d3 = p.p1 - BALL_CENTER, p.p2 - BALL_CENTER, p.p3 - BALL_CENTER
+    radius_squared = _radius_squared(d1, d2, d3)
     root = math.sqrt(radius_squared)
-    d1 = p.p1 - 0.5
-    d2 = p.p2 - 0.5
     return ValidityReport(
         radius_squared=radius_squared,
         is_quantum=radius_squared <= BALL_RADIUS_SQ + QUANTUM_BALL_ATOL,

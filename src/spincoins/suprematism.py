@@ -25,6 +25,11 @@ Region = Literal["cube", "ball"]
 # the ball radius 1/2 divided by sqrt(3).
 _BALL_DIAGONAL_OFFSET = math.sqrt(3.0) / 6.0
 
+# Largest SVG scale, in pixels per unit side length; it keeps the canvas
+# under 6 x 10^5 px a side, where a finite but huge scale would write a
+# width no viewer can draw.
+MAX_SCALE = 1e5
+
 # Fixed canvas proportions for the SVG triad, in units of the scale factor.
 _SVG_PAD = 0.25
 _SVG_GAP = 0.25
@@ -98,8 +103,9 @@ def area_sum_closed_form(p: ProbabilityTriple) -> float:
     3/2 at the ball center, 3 on the sphere along +-(1, 1, 1), and 6 at the
     cube vertices (0, 0, 0) and (1, 1, 1).
     """
-    offset_sum = (p.p1 - BALL_CENTER) + (p.p2 - BALL_CENTER) + (p.p3 - BALL_CENTER)
-    return 1.5 + 3.0 * _radius_squared(p.p1, p.p2, p.p3) + offset_sum * offset_sum
+    d1, d2, d3 = p.p1 - BALL_CENTER, p.p2 - BALL_CENTER, p.p3 - BALL_CENTER
+    offset_sum = d1 + d2 + d3
+    return 1.5 + 3.0 * _radius_squared(d1, d2, d3) + offset_sum * offset_sum
 
 
 def maximize_area(region: Region) -> ExtremizationResult:
@@ -141,16 +147,19 @@ def render_triad_svg(triad: MalevichTriad, *, scale: float = 100.0) -> str:
 
     Three axis-aligned squares sit on a common baseline, left to right in
     index order, filled red, black, and white with black outlines. Side
-    lengths are ``scale`` pixels per unit, on a canvas whose size must be
-    finite. Output bytes are deterministic for a fixed triad and scale.
+    lengths are ``scale`` pixels per unit, at most :data:`MAX_SCALE`, on a
+    canvas whose size must be finite. Output bytes are deterministic for a
+    fixed triad and scale.
     """
     pad = _SVG_PAD * scale
     gap = _SVG_GAP * scale
     sides_px = [side * scale for side in triad.sides]
     width = 2.0 * pad + sum(sides_px) + 2.0 * gap
     height = 2.0 * pad + _MAX_SIDE * scale
-    if not (scale > 0.0 and math.isfinite(width) and math.isfinite(height)):
-        raise ValueError(f"scale must be a positive number giving a finite canvas, got {scale!r}")
+    if not (0.0 < scale <= MAX_SCALE and math.isfinite(width) and math.isfinite(height)):
+        raise ValueError(
+            f"scale must be a positive number of at most {MAX_SCALE:g} px per unit giving a finite canvas, got {scale!r}"
+        )
     baseline = height - pad
 
     lines = [

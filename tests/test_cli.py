@@ -13,7 +13,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from golden_cases import JSON_CASES, SVG_CASES, STATE_MIXED, STATE_TILTED, OBS_SIGMA_X
-from spincoins.cli import DEFAULT_SEED, SEED_ENV_VAR, run
+from spincoins.cli import DEFAULT_SEED, MAX_MOMENT_ORDER, MAX_SAMPLE_COUNT, SEED_ENV_VAR, run
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "cli_payloads.schema.json"
@@ -157,6 +157,32 @@ class TestExitCodes:
         assert out == ""
         assert not out_path.exists()
         assert "finite canvas" in capsys.readouterr().err
+
+    def test_domain_error_render_scale_above_bound(self, tmp_path, capsys):
+        out_path = tmp_path / "triad.svg"
+        code, out = run_cli(["render", STATE_MIXED, "--out", str(out_path), "--scale", "1e300"])
+        assert code == 1
+        assert out == ""
+        assert not out_path.exists()
+        assert "at most 100000 px per unit" in capsys.readouterr().err
+
+    def test_domain_error_sample_count_above_bound(self, capsys):
+        code, out = run_cli(["sample", "--region", "cube", "--count", str(MAX_SAMPLE_COUNT + 1)])
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: --count must be at most")
+
+    def test_domain_error_moment_order_above_bound(self, capsys):
+        code, out = run_cli(["moments", "--n", str(MAX_MOMENT_ORDER + 1), "--state", STATE_MIXED, "--obs", OBS_SIGMA_X])
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: --n must be at most")
+
+    def test_domain_error_tosses_beyond_a_c_long(self, capsys):
+        code, out = run_cli(["simulate", "--state", STATE_MIXED, "--obs", OBS_SIGMA_X, "--n-tosses", str(10**23)])
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: n must be at most 2**63 - 1")
 
     def test_usage_error_malformed_json(self, capsys):
         code, _ = run_cli(["validate", '{"p1": 0.5, "p2":'])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import statistics
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import spincoins as sc
+from spincoins import coinsim
 from oracles import reference_states
 
 PI_SIXTH = math.pi / 6.0
@@ -59,6 +61,10 @@ class TestToss:
     def test_rejects_zero_tosses(self):
         with pytest.raises(ValueError, match="n"):
             sc.toss(sc.ProbabilityTriple(0.5, 0.5, 0.5), 0, sc.RngSpec(seed=0))
+
+    def test_rejects_counts_beyond_a_c_long(self):
+        with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1"):
+            sc.toss(sc.ProbabilityTriple(0.5, 0.5, 0.5), 2**63, sc.RngSpec(seed=0))
 
     def test_record_validates_counts(self):
         with pytest.raises(ValueError, match="heads_counts"):
@@ -143,6 +149,24 @@ class TestSampleState:
     def test_bulk_sampler_rejects_zero_count(self):
         with pytest.raises(ValueError, match="count"):
             sc.sample_states("cube", 0, sc.RngSpec(seed=0))
+
+    @pytest.mark.parametrize("bad", [1.5, math.nan])
+    def test_bulk_sampler_rejects_a_row_outside_the_cube(self, monkeypatch, bad):
+        block = np.full((4, 3), 0.5)
+        block[2, 1] = bad
+        monkeypatch.setattr(coinsim, "_draw", lambda region, gen, n: block)
+        with pytest.raises(sc.InvalidProbabilityError, match="row 2"):
+            sc.sample_states("cube", 4, sc.RngSpec(seed=0))
+
+    @pytest.mark.parametrize("region", ["cube", "ball", "sphere"])
+    def test_sampled_triples_are_ordinary_triples(self, region):
+        for s in sc.sample_states(region, 50, sc.RngSpec(seed=2)):
+            assert all(type(v) is float for v in s.as_tuple())
+            built = sc.ProbabilityTriple(*s.as_tuple())
+            assert s == built
+            assert hash(s) == hash(built)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                s.p1 = 0.5
 
 
 class TestQuantumFraction:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spincoins as sc
@@ -66,6 +66,18 @@ class TestProbabilityTriple:
         with pytest.raises(sc.InvalidProbabilityError, match="p1"):
             sc.ProbabilityTriple.from_dict({"p1": "half", "p2": 0.5, "p3": 0.5})
 
+    @pytest.mark.parametrize("bad", ["0.5", True, None])
+    def test_constructor_and_from_dict_share_one_number_test(self, bad):
+        with pytest.raises(sc.InvalidProbabilityError, match=f"p1={bad!r} is not a number"):
+            sc.ProbabilityTriple(bad, 0.5, 0)
+        with pytest.raises(sc.InvalidProbabilityError, match="field 'p1' must be a number"):
+            sc.ProbabilityTriple.from_dict({"p1": bad, "p2": 0.5, "p3": 0})
+
+    def test_ints_and_numpy_floats_become_floats(self):
+        p = sc.ProbabilityTriple(1, np.float32(0.5), np.float64(0.25))
+        assert p.as_tuple() == (1.0, 0.5, 0.25)
+        assert all(type(v) is float for v in p.as_tuple())
+
 
 class TestDensityMatrix:
     def test_wrong_shape_rejected(self):
@@ -95,6 +107,14 @@ class TestDensityMatrix:
         rho = sc.probs_to_density(sc.ProbabilityTriple(0.5, 0.5, 0.5))
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
+
+    @given(triples)
+    @example(sc.ProbabilityTriple(0.0, 0.5, 0.0))  # a zero imaginary part whose sign symmetrising flips
+    def test_trusted_matrix_is_bit_identical_to_validated_one(self, p):
+        rho = sc.probs_to_density(p)
+        validated = sc.DensityMatrix(coin_matrix(*p.as_tuple()))
+        assert rho.matrix.tobytes() == validated.matrix.tobytes()
+        assert not rho.matrix.flags.writeable
 
     def test_dict_round_trip(self):
         rho = sc.probs_to_density(sc.ProbabilityTriple(0.3, 0.8, 0.6))
@@ -214,6 +234,13 @@ class TestBlochMaps:
     def test_non_numeric_string_names_field(self):
         with pytest.raises(sc.InvalidBlochVectorError, match="x1='a' is not a number"):
             sc.BlochVector("a", 0, 0)
+
+    @pytest.mark.parametrize("bad", ["0.5", True])
+    def test_numeric_strings_and_bools_rejected(self, bad):
+        with pytest.raises(sc.InvalidBlochVectorError, match=f"x2={bad!r} is not a number"):
+            sc.BlochVector(0, bad, 0)
+        with pytest.raises(sc.InvalidBlochVectorError, match="field 'x2' must be a number"):
+            sc.BlochVector.from_dict({"x1": 0, "x2": bad, "x3": 0})
 
     @given(triples)
     def test_maps_are_mutually_inverse(self, p):

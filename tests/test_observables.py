@@ -89,6 +89,13 @@ class TestGameObservable:
         with pytest.raises(sc.InvalidObservableError, match="z2"):
             sc.GameObservable.from_dict({"x": 1, "y": 0, "z1": 0})
 
+    @pytest.mark.parametrize("bad", ["1", False])
+    def test_numeric_strings_and_bools_rejected(self, bad):
+        with pytest.raises(sc.InvalidObservableError, match=f"z1={bad!r} is not a number"):
+            sc.GameObservable(1, 0, bad, 0)
+        with pytest.raises(sc.InvalidObservableError, match="field 'z1' must be a number"):
+            sc.GameObservable.from_dict({"x": 1, "y": 0, "z1": bad, "z2": 0})
+
 
 class TestMean:
     def test_spin_up_eigenstate_of_sigma_z(self):
