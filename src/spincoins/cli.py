@@ -10,8 +10,10 @@ variable.
 
 Flags that size the work have upper bounds, and a larger value exits 1:
 ``sample --count`` at most ``MAX_SAMPLE_COUNT``, ``moments --n`` at most
-``MAX_MOMENT_ORDER``, ``render --scale`` at most ``suprematism.MAX_SCALE``
-and ``simulate --n-tosses`` at most ``coinsim.MAX_TOSSES``.
+``MAX_MOMENT_ORDER``, ``quantum-fraction --n-samples`` at most
+``MAX_QF_SAMPLES``, ``render --scale`` at most ``suprematism.MAX_SCALE``
+and ``simulate --n-tosses`` at most ``coinsim.MAX_TOSSES``. Running out of
+memory also exits 1, with an ``error:`` line and no traceback.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ SEED_ENV_VAR = "SPINCOINS_SEED"
 DEFAULT_SEED = 0
 MAX_SAMPLE_COUNT = 10**5
 MAX_MOMENT_ORDER = 10**5
+# quantum-fraction needs O(block) memory for any count; this bounds its
+# time, which grows linearly with the count.
+MAX_QF_SAMPLES = 10**9
 
 
 class UsageError(Exception):
@@ -57,6 +62,8 @@ def _json_argument(raw: str, field: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{field}: malformed JSON ({exc.msg} at position {exc.pos})") from None
+    except (ValueError, RecursionError) as exc:  # an integer past Python's digit limit, or nesting too deep
+        raise UsageError(f"{field}: unreadable JSON ({exc})") from None
 
 
 def _state(raw: str, field: str = "state") -> core.ProbabilityTriple:
@@ -150,7 +157,7 @@ def _cmd_max_area(args: argparse.Namespace) -> dict[str, Any]:
 
 def _cmd_quantum_fraction(args: argparse.Namespace) -> dict[str, Any]:
     rng = coinsim.RngSpec(seed=args.seed if args.seed is not None else _default_seed())
-    fraction = coinsim.quantum_fraction(args.n_samples, rng)
+    fraction = coinsim.quantum_fraction(_at_most(args.n_samples, MAX_QF_SAMPLES, "--n-samples"), rng)
     return {
         "n_samples": args.n_samples,
         "fraction": fraction,
@@ -228,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", choices=("cube", "ball"), required=True)
 
     p = add("quantum-fraction", _cmd_quantum_fraction, "Monte Carlo ball/cube volume ratio")
-    p.add_argument("--n-samples", type=int, required=True, help="cube samples (>= 1000)")
+    p.add_argument("--n-samples", type=int, required=True, help=f"cube samples (at least 1000, at most {MAX_QF_SAMPLES})")
     _add_seed_option(p)
 
     return parser
@@ -253,6 +260,9 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     if text is not None:
         out.write(text)

@@ -10,6 +10,8 @@ them draw rows through one array path, in bounded blocks.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Literal
 
@@ -32,6 +34,9 @@ _SUPPORTED_ALGORITHMS = ("pcg64",)
 MAX_TOSSES = 2**63 - 1
 # Rows per array draw; bounds the samplers' temporaries at a few MB.
 _BLOCK_ROWS = 2**16
+# Most threads quantum_fraction splits its stream over; keeps each thread's
+# blocks large, so the Python held under the GIL per block stays small.
+_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -40,7 +45,9 @@ class RngSpec:
 
     Identical specs produce bit-identical draws. ``stream`` selects an
     independent substream of the same seed, so parallel sampling stays
-    reproducible; a single stream must be consumed sequentially.
+    reproducible. A single stream is one sequence of 64-bit outputs; a
+    generator moved ahead with ``bit_generator.advance(k)`` starts exactly
+    at its k-th output, which splits a stream into contiguous parts exactly.
     """
 
     seed: int
@@ -197,20 +204,59 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
     return list(map(ProbabilityTriple._unchecked, *rows.T.tolist()))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
     """Fraction of uniform cube samples that are quantum-admissible.
 
     Converges to the ball/cube volume ratio pi/6 ~ 0.5235988 as the sample
-    count grows. Rows are drawn in blocks of ``_BLOCK_ROWS``, so memory is
-    O(block) for any count; each block is centred in place and its radius^2
-    summed with one running total.
+    count grows. The rows of one stream are split into contiguous chunks,
+    one per usable CPU (at most ``_MAX_WORKERS``, each of at least
+    ``_BLOCK_ROWS`` rows), counted in parallel threads; each chunk's
+    generator is advanced to the chunk's first row, so every row is the one
+    a sequential pass would draw and the result is bit-identical for any
+    CPU count. Each thread draws blocks of ``_BLOCK_ROWS // workers`` rows,
+    so memory is O(``_BLOCK_ROWS``) for any count; each block is centred in
+    place and its radius^2 summed with one running total.
     """
     if n_samples < 1000:
         raise ValueError(f"n_samples must be at least 1000, got {n_samples}")
-    gen = rng.generator()
-    hits = 0
-    for start in range(0, n_samples, _BLOCK_ROWS):
-        rows = _draw("cube", gen, min(_BLOCK_ROWS, n_samples - start))
-        rows -= BALL_CENTER
-        hits += int(np.count_nonzero(_radius_squared(*rows.T) <= BALL_RADIUS_SQ + QUANTUM_BALL_ATOL))
-    return hits / n_samples
+    workers = max(1, min(_usable_cpus(), n_samples // _BLOCK_ROWS, _MAX_WORKERS))
+    bounds = [n_samples * k // workers for k in range(workers + 1)]
+    block = _BLOCK_ROWS // workers
+    # Built and advanced here, in the calling thread, so the threads call only
+    # private helpers. Each double from Generator.random takes one 64-bit
+    # output, so row r starts at output 3r; RngSpec builds only PCG64, which
+    # has advance.
+    gens = [rng.generator() for _ in range(workers)]
+    for gen, first in zip(gens, bounds):
+        gen.bit_generator.advance(3 * first)
+    hits = [0] * workers
+    errors: list[BaseException] = []
+
+    def count(k: int) -> None:
+        try:
+            for start in range(bounds[k], bounds[k + 1], block):
+                if errors:  # another chunk failed; the count is lost anyway
+                    return
+                rows = _draw("cube", gens[k], min(block, bounds[k + 1] - start))
+                rows -= BALL_CENTER
+                hits[k] += int(np.count_nonzero(_radius_squared(*rows.T) <= BALL_RADIUS_SQ + QUANTUM_BALL_ATOL))
+        except BaseException as exc:  # re-raised in the caller; a thread would drop it
+            errors.append(exc)
+
+    threads = [threading.Thread(target=count, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    count(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return sum(hits) / n_samples

@@ -76,7 +76,10 @@ def _coerce_fields(
         value = getattr(obj, name)
         if not _is_number(value):
             raise kind(f"{name}={value!r} is not a number")
-        numeric = float(value)
+        try:
+            numeric = float(value)
+        except OverflowError:  # an int past the float range; its repr may be too long to print
+            raise kind(f"{name} is too large a number to be {domain}") from None
         if not (math.isfinite(numeric) and low <= numeric <= high):
             raise kind(f"{name}={value!r} is not {domain}")
         object.__setattr__(obj, name, numeric)
@@ -88,7 +91,10 @@ def _require_number(payload: Mapping[str, Any], field: str, kind: type[CoinState
     value = payload[field]
     if not _is_number(value):
         raise kind(f"field {field!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise kind(f"field {field!r} is too large a number for a float") from None
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:

@@ -13,7 +13,8 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from golden_cases import JSON_CASES, SVG_CASES, STATE_MIXED, STATE_TILTED, OBS_SIGMA_X
-from spincoins.cli import DEFAULT_SEED, MAX_MOMENT_ORDER, MAX_SAMPLE_COUNT, SEED_ENV_VAR, run
+from spincoins import coinsim
+from spincoins.cli import DEFAULT_SEED, MAX_MOMENT_ORDER, MAX_QF_SAMPLES, MAX_SAMPLE_COUNT, SEED_ENV_VAR, run
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "cli_payloads.schema.json"
@@ -183,6 +184,42 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert capsys.readouterr().err.startswith("error: n must be at most 2**63 - 1")
+
+    def test_domain_error_quantum_fraction_samples_above_bound(self, capsys):
+        code, out = run_cli(["quantum-fraction", "--n-samples", str(MAX_QF_SAMPLES + 1)])
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: --n-samples must be at most")
+
+    def test_domain_error_out_of_memory_prints_no_traceback(self, monkeypatch, capsys):
+        def exhausted(*_args):
+            raise MemoryError
+
+        monkeypatch.setattr(coinsim, "quantum_fraction", exhausted)
+        code, out = run_cli(["quantum-fraction", "--n-samples", "1000"])
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+    def test_domain_error_integer_past_the_float_range_names_field(self, capsys):
+        code, out = run_cli(["validate", '{"p1": 1' + "0" * 400 + ', "p2": 0, "p3": 0}'])
+        assert code == 1
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'p1'" in err
+
+    def test_usage_error_integer_past_the_digit_limit(self, capsys):
+        code, out = run_cli(["validate", '{"p1": 1' + "0" * 5000 + ', "p2": 0, "p3": 0}'])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("usage error: state: unreadable JSON")
+
+    def test_usage_error_json_nested_too_deep(self, capsys):
+        code, out = run_cli(["validate", "[" * 100000])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("usage error: state: unreadable JSON")
 
     def test_usage_error_malformed_json(self, capsys):
         code, _ = run_cli(["validate", '{"p1": 0.5, "p2":'])

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import statistics
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -207,6 +209,45 @@ class TestQuantumFraction:
             hits += int(np.count_nonzero(radius_sq[~near] <= threshold))
             hits += sum(math.fsum(row) <= threshold for row in squares[near].tolist())
         assert sc.quantum_fraction(n, sc.RngSpec(seed=1)) == hits / n
+
+    def test_same_fraction_for_any_cpu_count(self, monkeypatch):
+        # Each chunk's generator is advanced to its first row, so splitting
+        # the stream over threads changes no row and no count. A short switch
+        # interval makes the threads interleave often, so a lost update shows.
+        sizes = (1000, 123457, 3 * 2**16 + 1, 10**7)
+        fractions = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 3, 5, 8):
+                monkeypatch.setattr(coinsim, "_usable_cpus", lambda cpus=cpus: cpus)
+                fractions[cpus] = [sc.quantum_fraction(n, sc.RngSpec(seed=1)) for n in sizes]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(values == fractions[1] for values in fractions.values())
+
+    @staticmethod
+    def _draw_failing_off_the_main_thread(monkeypatch):
+        draw = coinsim._draw
+
+        def failing(region, gen, n):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("draw failed in a worker")
+            return draw(region, gen, n)
+
+        monkeypatch.setattr(coinsim, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(coinsim, "_draw", failing)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        self._draw_failing_off_the_main_thread(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="draw failed in a worker"):
+            sc.quantum_fraction(10**6, sc.RngSpec(seed=0))
+        assert threading.active_count() == before
+
+    def test_no_thread_below_one_block(self, monkeypatch):
+        self._draw_failing_off_the_main_thread(monkeypatch)
+        assert 0.0 < sc.quantum_fraction(coinsim._BLOCK_ROWS - 1, sc.RngSpec(seed=0)) < 1.0
 
     def test_ball_rejection_rate_cross_check(self):
         # The ball sampler accepts cube draws at the same pi/6 rate that

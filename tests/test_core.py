@@ -73,6 +73,13 @@ class TestProbabilityTriple:
         with pytest.raises(sc.InvalidProbabilityError, match="field 'p1' must be a number"):
             sc.ProbabilityTriple.from_dict({"p1": bad, "p2": 0.5, "p3": 0})
 
+    @pytest.mark.parametrize("huge", [10**400, -(10**5000)], ids=["1e400", "-1e5000"])
+    def test_ints_past_the_float_range_name_their_field(self, huge):
+        with pytest.raises(sc.InvalidProbabilityError, match=r"^p1 is too large a number to be a coin probability"):
+            sc.ProbabilityTriple(huge, 0.5, 0)
+        with pytest.raises(sc.InvalidProbabilityError, match="^field 'p1' is too large a number for a float"):
+            sc.ProbabilityTriple.from_dict({"p1": huge, "p2": 0.5, "p3": 0})
+
     def test_ints_and_numpy_floats_become_floats(self):
         p = sc.ProbabilityTriple(1, np.float32(0.5), np.float64(0.25))
         assert p.as_tuple() == (1.0, 0.5, 0.25)
@@ -241,6 +248,12 @@ class TestBlochMaps:
             sc.BlochVector(0, bad, 0)
         with pytest.raises(sc.InvalidBlochVectorError, match="field 'x2' must be a number"):
             sc.BlochVector.from_dict({"x1": 0, "x2": bad, "x3": 0})
+
+    def test_ints_past_the_float_range_name_their_field(self):
+        with pytest.raises(sc.InvalidBlochVectorError, match="^x2 is too large a number"):
+            sc.BlochVector(0, 10**400, 0)
+        with pytest.raises(sc.InvalidBlochVectorError, match="^field 'x2' is too large a number"):
+            sc.BlochVector.from_dict({"x1": 0, "x2": 10**400, "x3": 0})
 
     @given(triples)
     def test_maps_are_mutually_inverse(self, p):

@@ -96,6 +96,12 @@ class TestGameObservable:
         with pytest.raises(sc.InvalidObservableError, match="field 'z1' must be a number"):
             sc.GameObservable.from_dict({"x": 1, "y": 0, "z1": bad, "z2": 0})
 
+    def test_ints_past_the_float_range_name_their_field(self):
+        with pytest.raises(sc.InvalidObservableError, match="^z1 is too large a number to be finite"):
+            sc.GameObservable(1, 0, 10**400, 0)
+        with pytest.raises(sc.InvalidObservableError, match="^field 'z1' is too large a number"):
+            sc.GameObservable.from_dict({"x": 1, "y": 0, "z1": 10**400, "z2": 0})
+
 
 class TestMean:
     def test_spin_up_eigenstate_of_sigma_z(self):
