@@ -37,11 +37,6 @@ from .coinsim import (
     toss,
 )
 from .observables import (
-    IDENTITY_2,
-    PAULI_BASIS,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     GameObservable,
     InvalidObservableError,
     MomentSequence,
@@ -68,7 +63,6 @@ __all__ = [
     "DensityMatrix",
     "ExtremizationResult",
     "GameObservable",
-    "IDENTITY_2",
     "InvalidBlochVectorError",
     "InvalidDensityMatrixError",
     "InvalidObservableError",
@@ -76,10 +70,6 @@ __all__ = [
     "MalevichTriad",
     "MomentSequence",
     "NonQuantumStateError",
-    "PAULI_BASIS",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
     "ProbabilityTriple",
     "RngSpec",
     "SampleStats",

@@ -2,11 +2,11 @@
 
 Exit codes: 0 on success, 1 on domain errors (invalid probability,
 non-Hermitian matrix, non-quantum state, a result too large for a finite
-JSON number), 2 on usage errors (unknown subcommand, malformed JSON, bad
-flags). Stdout is strict JSON, never NaN or Infinity, and stays empty on
-an error. Output is byte deterministic for identical argv and seed; the
-default seed can be overridden with the ``SPINCOINS_SEED`` environment
-variable.
+JSON number), 2 on usage errors (unknown subcommand, bad flags, malformed
+JSON such as NaN or Infinity, a payload file that is not UTF-8). Stdout
+is strict JSON, never NaN or Infinity, and stays empty on an error.
+Output is byte deterministic for identical argv and seed; the default
+seed can be overridden with the ``SPINCOINS_SEED`` environment variable.
 
 Flags that size the work have upper bounds, and a larger value exits 1:
 ``sample --count`` at most ``MAX_SAMPLE_COUNT``, ``moments --n`` at most
@@ -40,26 +40,32 @@ class UsageError(Exception):
     """Malformed invocation or unparseable payload; maps to exit code 2."""
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEED
+def _rng(args: argparse.Namespace) -> coinsim.RngSpec:
+    """The spec for ``--seed``, else for ``$SPINCOINS_SEED``, else for ``DEFAULT_SEED``."""
+    raw = os.environ.get(SEED_ENV_VAR, DEFAULT_SEED) if args.seed is None else args.seed
     try:
-        return int(raw)
-    except ValueError:
+        seed = int(raw)
+    except ValueError:  # only the environment variable can hold a non-integer
         raise UsageError(f"{SEED_ENV_VAR}={raw!r} is not an integer seed") from None
+    return coinsim.RngSpec(seed=seed)
 
 
 def _json_argument(raw: str, field: str) -> Any:
-    """Parse an inline JSON argument, or read it from a file path."""
+    """Parse an inline JSON argument, or read it from a file path; input is strict JSON, as output is."""
     text = raw.strip()
     if not text.startswith(("{", "[")):
         try:
             text = Path(raw).read_text(encoding="utf-8")
         except OSError as exc:
             raise UsageError(f"{field}: cannot read file {raw!r} ({exc.strerror})") from None
+        except ValueError as exc:  # not UTF-8, or a NUL byte in the path
+            raise UsageError(f"{field}: cannot read file {raw!r} ({exc})") from None
+
+    def reject_constant(token: str) -> Any:
+        raise UsageError(f"{field}: malformed JSON ({token} is not a JSON number)")
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{field}: malformed JSON ({exc.msg} at position {exc.pos})") from None
     except (ValueError, RecursionError) as exc:  # an integer past Python's digit limit, or nesting too deep
@@ -127,7 +133,7 @@ def _cmd_genfun(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
     state = _state(args.state)
     obs = _observable(args.obs)
-    rng = coinsim.RngSpec(seed=args.seed if args.seed is not None else _default_seed())
+    rng = _rng(args)
     record = coinsim.toss(state, args.n_tosses, rng)
     stats = coinsim.estimate(record, obs)
     payload: dict[str, Any] = {
@@ -141,7 +147,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_sample(args: argparse.Namespace) -> dict[str, Any]:
-    rng = coinsim.RngSpec(seed=args.seed if args.seed is not None else _default_seed())
+    rng = _rng(args)
     states = coinsim.sample_states(args.region, _at_most(args.count, MAX_SAMPLE_COUNT, "--count"), rng)
     return {
         "region": args.region,
@@ -156,7 +162,7 @@ def _cmd_max_area(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_quantum_fraction(args: argparse.Namespace) -> dict[str, Any]:
-    rng = coinsim.RngSpec(seed=args.seed if args.seed is not None else _default_seed())
+    rng = _rng(args)
     fraction = coinsim.quantum_fraction(_at_most(args.n_samples, MAX_QF_SAMPLES, "--n-samples"), rng)
     return {
         "n_samples": args.n_samples,

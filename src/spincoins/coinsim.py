@@ -13,7 +13,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, replace
-from typing import Literal
+from typing import ClassVar, Literal
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .observables import GameObservable
 
 SampleRegion = Literal["cube", "ball", "sphere"]
 
-_SUPPORTED_ALGORITHMS = ("pcg64",)
 # Most tosses per coin: numpy's binomial takes the count as a C long.
 MAX_TOSSES = 2**63 - 1
 # Rows per array draw; bounds the samplers' temporaries at a few MB.
@@ -41,7 +40,7 @@ _MAX_WORKERS = 8
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Seeded, named random generator specification.
+    """Seeded random generator specification; the bit generator is always PCG64.
 
     Identical specs produce bit-identical draws. ``stream`` selects an
     independent substream of the same seed, so parallel sampling stays
@@ -51,18 +50,14 @@ class RngSpec:
     """
 
     seed: int
-    algorithm: str = "pcg64"
     stream: int = 0
+    algorithm: ClassVar[str] = "pcg64"
 
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
-        if self.algorithm not in _SUPPORTED_ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; supported: {_SUPPORTED_ALGORITHMS}"
-            )
         if not isinstance(self.stream, int) or isinstance(self.stream, bool) or self.stream < 0:
             raise ValueError(f"stream must be a nonnegative integer, got {self.stream!r}")
 

@@ -71,35 +71,35 @@ def _is_number(value: Any) -> bool:
 def _coerce_fields(
     obj: Any, names: tuple[str, ...], kind: type[CoinStateError], low: float, high: float, domain: str
 ) -> None:
-    """Store each named field as a finite float in [low, high]; else raise ``kind``, naming the field."""
+    """The one number check of the value types: store each field as a finite float in [low, high], or raise ``kind``."""
     for name in names:
         value = getattr(obj, name)
         if not _is_number(value):
-            raise kind(f"{name}={value!r} is not a number")
+            raise kind(f"field {name!r} must be a number, got {value!r}")
         try:
             numeric = float(value)
         except OverflowError:  # an int past the float range; its repr may be too long to print
-            raise kind(f"{name} is too large a number to be {domain}") from None
+            raise kind(f"field {name!r} is too large a number to be {domain}") from None
         if not (math.isfinite(numeric) and low <= numeric <= high):
-            raise kind(f"{name}={value!r} is not {domain}")
+            raise kind(f"field {name!r} must be {domain}, got {value!r}")
         object.__setattr__(obj, name, numeric)
 
 
-def _require_number(payload: Mapping[str, Any], field: str, kind: type[CoinStateError]) -> float:
-    if field not in payload:
-        raise kind(f"missing field {field!r}")
-    value = payload[field]
-    if not _is_number(value):
-        raise kind(f"field {field!r} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise kind(f"field {field!r} is too large a number for a float") from None
+def _payload_fields(payload: Any, names: tuple[str, ...], kind: type[CoinStateError]) -> list[Any]:
+    """The raw values of the named fields of an object payload; checks its shape only, not the values."""
+    if not isinstance(payload, Mapping):
+        raise kind(f"expected an object with {', '.join(names)}, got {payload!r}")
+    for name in names:
+        if name not in payload:
+            raise kind(f"missing field {name!r}")
+    return [payload[name] for name in names]
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^H) / 2, the form in which :class:`DensityMatrix` stores every matrix."""
-    return (m + m.conj().T) / 2.0
+    """(m + m^H) / 2, read-only: the form in which :class:`DensityMatrix` stores every matrix."""
+    h = (m + m.conj().T) / 2.0
+    h.setflags(write=False)
+    return h
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,6 @@ class ProbabilityTriple:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p1, self.p2, self.p3)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p1, self.p2, self.p3])
-
     def distributions(self) -> tuple[tuple[float, float], ...]:
         """The three (heads, tails) distributions derived from the triple."""
         return tuple((p, 1.0 - p) for p in self.as_tuple())
@@ -148,9 +145,7 @@ class ProbabilityTriple:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ProbabilityTriple":
-        if not isinstance(payload, Mapping):
-            raise InvalidProbabilityError(f"expected an object with p1, p2, p3, got {payload!r}")
-        return cls(*(_require_number(payload, f, InvalidProbabilityError) for f in ("p1", "p2", "p3")))
+        return cls(*_payload_fields(payload, ("p1", "p2", "p3"), InvalidProbabilityError))
 
 
 @dataclass(frozen=True)
@@ -174,9 +169,7 @@ class BlochVector:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "BlochVector":
-        if not isinstance(payload, Mapping):
-            raise InvalidBlochVectorError(f"expected an object with x1, x2, x3, got {payload!r}")
-        return cls(*(_require_number(payload, f, InvalidBlochVectorError) for f in ("x1", "x2", "x3")))
+        return cls(*_payload_fields(payload, ("x1", "x2", "x3"), InvalidBlochVectorError))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +188,7 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise InvalidDensityMatrixError(f"field 'm' must be a 2x2 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        if not np.isfinite(m).all():
             raise InvalidDensityMatrixError("field 'm' contains non-finite entries")
         deviation = float(np.max(np.abs(m - m.conj().T)))
         if deviation > HERMITICITY_ATOL:
@@ -208,7 +201,6 @@ class DensityMatrix:
             raise InvalidDensityMatrixError(
                 f"field 'm' must have unit trace, got {trace!r}"
             )
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -222,24 +214,13 @@ class DensityMatrix:
         imaginary part.
         """
         rho = object.__new__(cls)
-        h = _hermitian_part(m)
-        h.setflags(write=False)
-        object.__setattr__(rho, "matrix", h)
+        object.__setattr__(rho, "matrix", _hermitian_part(m))
         return rho
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DensityMatrix):
             return NotImplemented
         return bool(np.array_equal(self.matrix, other.matrix))
-
-    def entry(self, row: int, col: int) -> complex:
-        return complex(self.matrix[row, col])
-
-    def min_eigenvalue(self) -> float:
-        """Smaller eigenvalue, by the closed-form quadratic for 2x2 Hermitian matrices."""
-        half_gap = (self.matrix[0, 0].real - self.matrix[1, 1].real) / 2.0
-        shift = math.sqrt(half_gap * half_gap + abs(self.matrix[1, 0]) ** 2)
-        return 0.5 - shift
 
     def purity(self) -> float:
         """Tr(rho^2); equals 1 for pure states and 1/2 for the maximally mixed state."""
@@ -253,20 +234,17 @@ class DensityMatrix:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "DensityMatrix":
-        if not isinstance(payload, Mapping) or "m" not in payload:
-            raise InvalidDensityMatrixError("expected an object with field 'm'")
-        entries = payload["m"]
+        (entries,) = _payload_fields(payload, ("m",), InvalidDensityMatrixError)
         if not isinstance(entries, (list, tuple)) or len(entries) != 4:
             raise InvalidDensityMatrixError("field 'm' must list four [re, im] pairs row-major")
         values = []
         for pair in entries:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise InvalidDensityMatrixError(f"field 'm' entry {pair!r} is not a [re, im] pair")
-            re, im = pair
-            if isinstance(re, bool) or isinstance(im, bool) \
-                    or not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-                raise InvalidDensityMatrixError(f"field 'm' entry {pair!r} must hold two numbers")
-            values.append(complex(re, im))
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_is_number, pair)):
+                raise InvalidDensityMatrixError(f"field 'm' entry {pair!r} must be a [re, im] pair of numbers")
+            try:
+                values.append(complex(*pair))
+            except OverflowError:  # as in _coerce_fields: an int past the float range
+                raise InvalidDensityMatrixError("field 'm' holds too large a number to be a matrix entry") from None
         return cls(np.array(values, dtype=complex).reshape(2, 2))
 
 

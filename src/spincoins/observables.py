@@ -16,7 +16,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .core import CoinStateError, NonQuantumStateError, ProbabilityTriple, _coerce_fields, _require_number
+from .core import CoinStateError, NonQuantumStateError, ProbabilityTriple, _coerce_fields, _payload_fields
 
 # Below this payoff radius the observable is a multiple of the identity
 # and the anisotropy coefficient is undefined.
@@ -25,20 +25,6 @@ DEGENERATE_RADIUS_ATOL = 1e-12
 # Outcome probabilities tolerate this much floating-point overshoot in the
 # anisotropy coefficient before the state is flagged as non-quantum.
 ANISOTROPY_ATOL = 1e-9
-
-
-def _constant(values: list[list[complex]]) -> np.ndarray:
-    m = np.array(values, dtype=complex)
-    m.setflags(write=False)
-    return m
-
-
-IDENTITY_2 = _constant([[1, 0], [0, 1]])
-PAULI_X = _constant([[0, 1], [1, 0]])
-PAULI_Y = _constant([[0, -1j], [1j, 0]])
-PAULI_Z = _constant([[1, 0], [0, -1]])
-
-PAULI_BASIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 class InvalidObservableError(CoinStateError):
@@ -101,9 +87,7 @@ class GameObservable:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "GameObservable":
-        if not isinstance(payload, Mapping):
-            raise InvalidObservableError(f"expected an object with x, y, z1, z2, got {payload!r}")
-        return cls(*(_require_number(payload, f, InvalidObservableError) for f in ("x", "y", "z1", "z2")))
+        return cls(*_payload_fields(payload, ("x", "y", "z1", "z2"), InvalidObservableError))
 
 
 @dataclass(frozen=True)

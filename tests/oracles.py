@@ -13,6 +13,18 @@ from fractions import Fraction
 import numpy as np
 
 
+def _constant(values: list[list[complex]]) -> np.ndarray:
+    m = np.array(values, dtype=complex)
+    m.setflags(write=False)
+    return m
+
+
+IDENTITY_2 = _constant([[1, 0], [0, 1]])
+PAULI_X = _constant([[0, 1], [1, 0]])
+PAULI_Y = _constant([[0, -1j], [1j, 0]])
+PAULI_Z = _constant([[1, 0], [0, -1]])
+
+
 def coin_matrix(p1: float, p2: float, p3: float) -> np.ndarray:
     """Matrix of a coin triple, rebuilt from scratch for oracle use."""
     off = complex(p1 - 0.5, p2 - 0.5)

@@ -209,6 +209,41 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "'p1'" in err
 
+    def test_domain_error_matrix_entry_past_the_float_range_names_field(self, capsys):
+        code, out = run_cli(["to-probs", '{"m": [[1' + "0" * 400 + ', 0], [0, 0], [0, 0], [0, 0]]}'])
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err == "error: field 'm' holds too large a number to be a matrix entry\n"
+
+    def test_usage_error_payload_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_bytes(b"\xff\xfe" + STATE_MIXED.encode("utf-8"))
+        code, out = run_cli(["validate", str(path)])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: state: cannot read file {str(path)!r} (")
+        assert "codec can't decode byte 0xff" in err
+
+    def test_usage_error_file_path_with_nul_byte(self, capsys):
+        code, out = run_cli(["validate", "state\x00.json"])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == "usage error: state: cannot read file 'state\\x00.json' (embedded null byte)\n"
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("source", ["inline", "file"])
+    def test_usage_error_non_standard_json_constants(self, token, source, tmp_path, capsys):
+        payload = '{"p1": %s, "p2": 0.5, "p3": 0.5}' % token
+        if source == "file":
+            path = tmp_path / "state.json"
+            path.write_text(payload, encoding="utf-8")
+            payload = str(path)
+        code, out = run_cli(["overlap", STATE_MIXED, payload])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == f"usage error: state_q: malformed JSON ({token} is not a JSON number)\n"
+
     def test_usage_error_integer_past_the_digit_limit(self, capsys):
         code, out = run_cli(["validate", '{"p1": 1' + "0" * 5000 + ', "p2": 0, "p3": 0}'])
         assert code == 2

@@ -31,7 +31,7 @@ class TestRngSpec:
         assert sc.toss(p, 1000, base) != sc.toss(p, 1000, base.with_stream(1))
 
     def test_rejects_unknown_algorithm(self):
-        with pytest.raises(ValueError, match="algorithm"):
+        with pytest.raises(TypeError, match="algorithm"):
             sc.RngSpec(seed=1, algorithm="mt19937")
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,16 +69,16 @@ class TestProbabilityTriple:
 
     @pytest.mark.parametrize("bad", ["0.5", True, None])
     def test_constructor_and_from_dict_share_one_number_test(self, bad):
-        with pytest.raises(sc.InvalidProbabilityError, match=f"p1={bad!r} is not a number"):
+        with pytest.raises(sc.InvalidProbabilityError, match=f"^field 'p1' must be a number, got {re.escape(repr(bad))}$"):
             sc.ProbabilityTriple(bad, 0.5, 0)
         with pytest.raises(sc.InvalidProbabilityError, match="field 'p1' must be a number"):
             sc.ProbabilityTriple.from_dict({"p1": bad, "p2": 0.5, "p3": 0})
 
     @pytest.mark.parametrize("huge", [10**400, -(10**5000)], ids=["1e400", "-1e5000"])
     def test_ints_past_the_float_range_name_their_field(self, huge):
-        with pytest.raises(sc.InvalidProbabilityError, match=r"^p1 is too large a number to be a coin probability"):
+        with pytest.raises(sc.InvalidProbabilityError, match=r"^field 'p1' is too large a number to be a coin probability"):
             sc.ProbabilityTriple(huge, 0.5, 0)
-        with pytest.raises(sc.InvalidProbabilityError, match="^field 'p1' is too large a number for a float"):
+        with pytest.raises(sc.InvalidProbabilityError, match=r"^field 'p1' is too large a number to be a coin probability in \[0, 1\]$"):
             sc.ProbabilityTriple.from_dict({"p1": huge, "p2": 0.5, "p3": 0})
 
     def test_ints_and_numpy_floats_become_floats(self):
@@ -133,6 +134,20 @@ class TestDensityMatrix:
             sc.DensityMatrix.from_dict({"matrix": []})
         with pytest.raises(sc.InvalidDensityMatrixError, match="'m'"):
             sc.DensityMatrix.from_dict({"m": [[1, 0], [0, 0], [0, 0]]})
+
+    @pytest.mark.parametrize(
+        "pair,message",
+        [
+            ([True, 0], r"entry \[True, 0\] must be a \[re, im\] pair of numbers$"),
+            (["0.5", 0], r"entry \['0\.5', 0\] must be a \[re, im\] pair of numbers$"),
+            ([10**400, 0], "holds too large a number to be a matrix entry$"),
+            ([0, 10**400], "holds too large a number to be a matrix entry$"),
+        ],
+        ids=["bool", "string", "1e400-re", "1e400-im"],
+    )
+    def test_from_dict_rejects_entries_that_are_not_finite_numbers(self, pair, message):
+        with pytest.raises(sc.InvalidDensityMatrixError, match="^field 'm' " + message):
+            sc.DensityMatrix.from_dict({"m": [[0.5, 0], pair, [0, 0], [0.5, 0]]})
 
 
 class TestProbsToDensity:
@@ -235,22 +250,22 @@ class TestBlochMaps:
             sc.BlochVector(1.5, 0.0, 0.0)
 
     def test_none_component_names_field(self):
-        with pytest.raises(sc.InvalidBlochVectorError, match="x1=None is not a number"):
+        with pytest.raises(sc.InvalidBlochVectorError, match="^field 'x1' must be a number, got None$"):
             sc.BlochVector(None, 0, 0)
 
     def test_non_numeric_string_names_field(self):
-        with pytest.raises(sc.InvalidBlochVectorError, match="x1='a' is not a number"):
+        with pytest.raises(sc.InvalidBlochVectorError, match="^field 'x1' must be a number, got 'a'$"):
             sc.BlochVector("a", 0, 0)
 
     @pytest.mark.parametrize("bad", ["0.5", True])
     def test_numeric_strings_and_bools_rejected(self, bad):
-        with pytest.raises(sc.InvalidBlochVectorError, match=f"x2={bad!r} is not a number"):
+        with pytest.raises(sc.InvalidBlochVectorError, match=f"^field 'x2' must be a number, got {re.escape(repr(bad))}$"):
             sc.BlochVector(0, bad, 0)
         with pytest.raises(sc.InvalidBlochVectorError, match="field 'x2' must be a number"):
             sc.BlochVector.from_dict({"x1": 0, "x2": bad, "x3": 0})
 
     def test_ints_past_the_float_range_name_their_field(self):
-        with pytest.raises(sc.InvalidBlochVectorError, match="^x2 is too large a number"):
+        with pytest.raises(sc.InvalidBlochVectorError, match="^field 'x2' is too large a number"):
             sc.BlochVector(0, 10**400, 0)
         with pytest.raises(sc.InvalidBlochVectorError, match="^field 'x2' is too large a number"):
             sc.BlochVector.from_dict({"x1": 0, "x2": 10**400, "x3": 0})

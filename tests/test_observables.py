@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import spincoins as sc
 from oracles import (
+    IDENTITY_2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     coin_matrix,
     expm_hermitian_2x2,
     moments_exact,
@@ -30,31 +35,16 @@ def random_observable(gen: np.random.Generator, span: float = 10.0) -> sc.GameOb
     return sc.GameObservable(*gen.uniform(-span, span, size=4))
 
 
-class TestPauliConstants:
-    def test_matrices_match_convention(self):
-        assert np.array_equal(sc.PAULI_X, np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.array_equal(sc.PAULI_Y, np.array([[0, -1j], [1j, 0]], dtype=complex))
-        assert np.array_equal(sc.PAULI_Z, np.array([[1, 0], [0, -1]], dtype=complex))
-
-    def test_squares_are_identity(self):
-        for sigma in sc.PAULI_BASIS:
-            assert np.array_equal(sigma @ sigma, sc.IDENTITY_2)
-
-    def test_read_only(self):
-        with pytest.raises(ValueError):
-            sc.PAULI_X[0, 0] = 5.0
-
-
 class TestGameObservable:
     def test_sigma_x_payoffs(self):
-        assert np.array_equal(SIGMA_X_GAME.to_matrix(), sc.PAULI_X)
+        assert np.array_equal(SIGMA_X_GAME.to_matrix(), PAULI_X)
 
     def test_sigma_z_payoffs(self):
-        assert np.array_equal(SIGMA_Z_GAME.to_matrix(), sc.PAULI_Z)
+        assert np.array_equal(SIGMA_Z_GAME.to_matrix(), PAULI_Z)
 
     def test_isotropic_payoff_is_degenerate(self):
         obs = sc.GameObservable(0, 0, 5, 5)
-        assert np.array_equal(obs.to_matrix(), 5.0 * sc.IDENTITY_2)
+        assert np.array_equal(obs.to_matrix(), 5.0 * IDENTITY_2)
         assert obs.r == 0.0
         assert obs.is_degenerate()
 
@@ -70,10 +60,10 @@ class TestGameObservable:
         for _ in range(50):
             obs = random_observable(gen)
             composed = (
-                obs.c * sc.IDENTITY_2
-                + obs.x * sc.PAULI_X
-                + obs.y * sc.PAULI_Y
-                + obs.z * sc.PAULI_Z
+                obs.c * IDENTITY_2
+                + obs.x * PAULI_X
+                + obs.y * PAULI_Y
+                + obs.z * PAULI_Z
             )
             assert np.allclose(obs.to_matrix(), composed, atol=1e-12)
 
@@ -91,13 +81,13 @@ class TestGameObservable:
 
     @pytest.mark.parametrize("bad", ["1", False])
     def test_numeric_strings_and_bools_rejected(self, bad):
-        with pytest.raises(sc.InvalidObservableError, match=f"z1={bad!r} is not a number"):
+        with pytest.raises(sc.InvalidObservableError, match=f"^field 'z1' must be a number, got {re.escape(repr(bad))}$"):
             sc.GameObservable(1, 0, bad, 0)
         with pytest.raises(sc.InvalidObservableError, match="field 'z1' must be a number"):
             sc.GameObservable.from_dict({"x": 1, "y": 0, "z1": bad, "z2": 0})
 
     def test_ints_past_the_float_range_name_their_field(self):
-        with pytest.raises(sc.InvalidObservableError, match="^z1 is too large a number to be finite"):
+        with pytest.raises(sc.InvalidObservableError, match="^field 'z1' is too large a number to be finite"):
             sc.GameObservable(1, 0, 10**400, 0)
         with pytest.raises(sc.InvalidObservableError, match="^field 'z1' is too large a number"):
             sc.GameObservable.from_dict({"x": 1, "y": 0, "z1": 10**400, "z2": 0})
