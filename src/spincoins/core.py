@@ -11,6 +11,7 @@ first-class values rather than errors.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -62,10 +63,28 @@ def _radius_squared(d1, d2, d3):
 
 
 def _is_number(value: Any) -> bool:
-    """The one input test for numeric fields: an int or float (numpy floats included), never a bool."""
+    """The one input test for numeric fields: an int or float, numpy ones included, never a bool or timedelta."""
     if type(value) is float:  # the common case, tested first to keep the constructors cheap
         return True
-    return isinstance(value, (int, float, np.floating)) and not isinstance(value, bool)
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, (bool, np.timedelta64))
+
+
+def _show(value: Any) -> str:
+    """``repr(value)`` for an error message; an int of more than 4300 digits cannot be printed."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
+def _as_float(value: Any, name: str, kind: type[CoinStateError], domain: str) -> float:
+    """The one conversion of an input number: ``value`` as a float, or ``kind`` naming the field ``name``."""
+    if not _is_number(value):
+        raise kind(f"field {name!r} must be a number, got {_show(value)}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        raise kind(f"field {name!r} is too large a number to be {domain}") from None
 
 
 def _coerce_fields(
@@ -74,12 +93,7 @@ def _coerce_fields(
     """The one number check of the value types: store each field as a finite float in [low, high], or raise ``kind``."""
     for name in names:
         value = getattr(obj, name)
-        if not _is_number(value):
-            raise kind(f"field {name!r} must be a number, got {value!r}")
-        try:
-            numeric = float(value)
-        except OverflowError:  # an int past the float range; its repr may be too long to print
-            raise kind(f"field {name!r} is too large a number to be {domain}") from None
+        numeric = _as_float(value, name, kind, domain)
         if not (math.isfinite(numeric) and low <= numeric <= high):
             raise kind(f"field {name!r} must be {domain}, got {value!r}")
         object.__setattr__(obj, name, numeric)
@@ -88,18 +102,11 @@ def _coerce_fields(
 def _payload_fields(payload: Any, names: tuple[str, ...], kind: type[CoinStateError]) -> list[Any]:
     """The raw values of the named fields of an object payload; checks its shape only, not the values."""
     if not isinstance(payload, Mapping):
-        raise kind(f"expected an object with {', '.join(names)}, got {payload!r}")
+        raise kind(f"expected an object with {', '.join(names)}, got {_show(payload)}")
     for name in names:
         if name not in payload:
             raise kind(f"missing field {name!r}")
     return [payload[name] for name in names]
-
-
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^H) / 2, read-only: the form in which :class:`DensityMatrix` stores every matrix."""
-    h = (m + m.conj().T) / 2.0
-    h.setflags(write=False)
-    return h
 
 
 @dataclass(frozen=True)
@@ -185,37 +192,35 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise InvalidDensityMatrixError(f"field 'm' must be a 2x2 matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
+        try:  # an array keeps its entry types; bytes rows, sets and dicts fail the shape test
+            m = np.asarray(self.matrix, dtype=None if isinstance(self.matrix, np.ndarray) else object)
+            (a, b), (c, d) = m if m.shape == (2, 2) else ()
+        except (TypeError, ValueError):  # not two rows of two entries
+            raise InvalidDensityMatrixError("field 'm' must be a 2x2 matrix") from None
+        a, b, c, d = [
+            complex(v) if isinstance(v, (complex, np.complexfloating))
+            else _as_float(v, "m", InvalidDensityMatrixError, "a matrix entry")
+            for v in (a, b, c, d)
+        ]
+        if not all(map(cmath.isfinite, (a, b, c, d))):
             raise InvalidDensityMatrixError("field 'm' contains non-finite entries")
-        deviation = float(np.max(np.abs(m - m.conj().T)))
+        deviation = max(abs(b - c.conjugate()), abs(a - a.conjugate()), abs(d - d.conjugate()))
         if deviation > HERMITICITY_ATOL:
             raise InvalidDensityMatrixError(
                 f"field 'm' is not Hermitian: max deviation {deviation:.3e} exceeds {HERMITICITY_ATOL:.0e}"
             )
-        m = _hermitian_part(m)
-        trace = m[0, 0].real + m[1, 1].real
+        trace = a.real + d.real
         if abs(trace - 1.0) > TRACE_ATOL:
             raise InvalidDensityMatrixError(
                 f"field 'm' must have unit trace, got {trace!r}"
             )
+        # Store the Hermitian part (m + m^H) / 2 even for an exact conjugate pair:
+        # it is not a fixed point bit for bit, since halving a complex sum can
+        # flip the sign of a zero imaginary part.
+        m = np.array([[a, b], [c, d]], dtype=complex)
+        m = (m + m.conj().T) / 2.0
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def _unchecked(cls, m: np.ndarray) -> "DensityMatrix":
-        """Trusted constructor for a finite complex 2x2 array that is Hermitian with unit trace.
-
-        It skips the checks but stores the same Hermitian part as the
-        validated constructor, so the matrix is bit-identical to
-        ``DensityMatrix(m)``. Even an exact conjugate pair is not a fixed
-        point bit for bit: halving complex sums can flip the sign of a zero
-        imaginary part.
-        """
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "matrix", _hermitian_part(m))
-        return rho
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DensityMatrix):
@@ -235,17 +240,15 @@ class DensityMatrix:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "DensityMatrix":
         (entries,) = _payload_fields(payload, ("m",), InvalidDensityMatrixError)
-        if not isinstance(entries, (list, tuple)) or len(entries) != 4:
+        if not isinstance(entries, (list, tuple)) or len(entries) != 4 or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in entries
+        ):
             raise InvalidDensityMatrixError("field 'm' must list four [re, im] pairs row-major")
-        values = []
-        for pair in entries:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_is_number, pair)):
-                raise InvalidDensityMatrixError(f"field 'm' entry {pair!r} must be a [re, im] pair of numbers")
-            try:
-                values.append(complex(*pair))
-            except OverflowError:  # as in _coerce_fields: an int past the float range
-                raise InvalidDensityMatrixError("field 'm' holds too large a number to be a matrix entry") from None
-        return cls(np.array(values, dtype=complex).reshape(2, 2))
+        a, b, c, d = [
+            complex(*(_as_float(part, "m", InvalidDensityMatrixError, "a matrix entry") for part in pair))
+            for pair in entries
+        ]
+        return cls([[a, b], [c, d]])
 
 
 @dataclass(frozen=True)
@@ -278,13 +281,11 @@ def probs_to_density(p: ProbabilityTriple) -> DensityMatrix:
     The z coin fixes the diagonal (p3, 1 - p3); the x and y coins fix the
     off-diagonal entry (p1 - 1/2) + i (p2 - 1/2) and its conjugate. The
     result is always Hermitian with unit trace, but positive semidefinite
-    only for triples inside the quantum ball. The matrix is built through
-    the trusted constructor, because the triple is already validated.
+    only for triples inside the quantum ball. The matrix goes through the
+    one :class:`DensityMatrix` constructor, like every other matrix.
     """
     off = complex(p.p1 - 0.5, p.p2 - 0.5)
-    return DensityMatrix._unchecked(
-        np.array([[p.p3, off.conjugate()], [off, 1.0 - p.p3]], dtype=complex)
-    )
+    return DensityMatrix([[p.p3, off.conjugate()], [off, 1.0 - p.p3]])
 
 
 def density_to_probs(rho: DensityMatrix | np.ndarray) -> ProbabilityTriple:
@@ -292,11 +293,11 @@ def density_to_probs(rho: DensityMatrix | np.ndarray) -> ProbabilityTriple:
 
     Inverse of :func:`probs_to_density`: p1 and p2 come from the real and
     imaginary parts of the lower off-diagonal entry, p3 from the upper
-    diagonal entry. Raw arrays are validated (and sub-tolerance asymmetry
-    symmetrized) through the :class:`DensityMatrix` constructor.
+    diagonal entry. Raw arrays and nested lists are checked (and sub-tolerance
+    asymmetry symmetrized) by the one :class:`DensityMatrix` constructor.
     """
     if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix(np.asarray(rho))
+        rho = DensityMatrix(rho)
     lower = rho.matrix[1, 0]
     return ProbabilityTriple(0.5 + lower.real, 0.5 + lower.imag, rho.matrix[0, 0].real)
 

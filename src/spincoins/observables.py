@@ -138,10 +138,8 @@ def _two_point_law(p: ProbabilityTriple, obs: GameObservable) -> tuple[float, fl
 
 
 def second_moment(p: ProbabilityTriple, obs: GameObservable) -> float:
-    """Second moment w+ (c + r)^2 + w- (c - r)^2, valid for any cube triple."""
-    _, w_plus, w_minus = _two_point_law(p, obs)
-    c, r = obs.c, obs.r
-    return w_plus * (c + r) ** 2 + w_minus * (c - r) ** 2
+    """Second moment w+ (c + r)^2 + w- (c - r)^2, valid for any cube triple: the order-2 term of :func:`moments`."""
+    return moments(p, obs, 2).moments[2]
 
 
 def generating_function(p: ProbabilityTriple, obs: GameObservable, lam: float) -> float:

@@ -213,7 +213,7 @@ class TestExitCodes:
         code, out = run_cli(["to-probs", '{"m": [[1' + "0" * 400 + ', 0], [0, 0], [0, 0], [0, 0]]}'])
         assert code == 1
         assert out == ""
-        assert capsys.readouterr().err == "error: field 'm' holds too large a number to be a matrix entry\n"
+        assert capsys.readouterr().err == "error: field 'm' is too large a number to be a matrix entry\n"
 
     def test_usage_error_payload_file_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "state.json"

@@ -81,6 +81,14 @@ class TestProbabilityTriple:
         with pytest.raises(sc.InvalidProbabilityError, match=r"^field 'p1' is too large a number to be a coin probability in \[0, 1\]$"):
             sc.ProbabilityTriple.from_dict({"p1": huge, "p2": 0.5, "p3": 0})
 
+    def test_value_too_long_to_print_names_its_field(self):
+        with pytest.raises(sc.InvalidProbabilityError, match="^field 'p1' must be a number, got <list too long to print>$"):
+            sc.ProbabilityTriple([10**5000], 0, 0)
+
+    def test_payload_too_long_to_print_names_the_fields(self):
+        with pytest.raises(sc.InvalidProbabilityError, match="^expected an object with p1, p2, p3, got <list too long to print>$"):
+            sc.ProbabilityTriple.from_dict([10**5000])
+
     def test_ints_and_numpy_floats_become_floats(self):
         p = sc.ProbabilityTriple(1, np.float32(0.5), np.float64(0.25))
         assert p.as_tuple() == (1.0, 0.5, 0.25)
@@ -138,16 +146,22 @@ class TestDensityMatrix:
     @pytest.mark.parametrize(
         "pair,message",
         [
-            ([True, 0], r"entry \[True, 0\] must be a \[re, im\] pair of numbers$"),
-            (["0.5", 0], r"entry \['0\.5', 0\] must be a \[re, im\] pair of numbers$"),
-            ([10**400, 0], "holds too large a number to be a matrix entry$"),
-            ([0, 10**400], "holds too large a number to be a matrix entry$"),
+            ([True, 0], r"must be a number, got True$"),
+            (["0.5", 0], r"must be a number, got '0\.5'$"),
+            ([10**400, 0], "is too large a number to be a matrix entry$"),
+            ([0, 10**400], "is too large a number to be a matrix entry$"),
         ],
         ids=["bool", "string", "1e400-re", "1e400-im"],
     )
     def test_from_dict_rejects_entries_that_are_not_finite_numbers(self, pair, message):
         with pytest.raises(sc.InvalidDensityMatrixError, match="^field 'm' " + message):
             sc.DensityMatrix.from_dict({"m": [[0.5, 0], pair, [0, 0], [0.5, 0]]})
+
+    def test_from_dict_entry_too_long_to_print_names_field(self):
+        with pytest.raises(sc.InvalidDensityMatrixError, match="^field 'm' is too large a number to be a matrix entry$"):
+            sc.DensityMatrix.from_dict({"m": [[10**5000, "x"], [0, 0], [0, 0], [1, 0]]})
+        with pytest.raises(sc.InvalidDensityMatrixError, match="^field 'm' must be a number, got 'x'$"):
+            sc.DensityMatrix.from_dict({"m": [["x", 10**5000], [0, 0], [0, 0], [1, 0]]})
 
 
 class TestProbsToDensity:
@@ -274,6 +288,105 @@ class TestBlochMaps:
     def test_maps_are_mutually_inverse(self, p):
         back = sc.bloch_to_probs(sc.probs_to_bloch(p))
         assert back.as_tuple() == pytest.approx(p.as_tuple(), abs=1e-15)
+
+
+HOSTILE = {
+    "none": None,
+    "bool": True,
+    "numpy-bool": np.True_,
+    "str": "0.5",
+    "list": [0.5],
+    "dict": {"v": 0.5},
+    "1e400": 10**400,
+    "list-1e5000": [10**5000],
+    "nan": math.nan,
+    "inf": math.inf,
+    "int64": np.int64(0),
+    "float32": np.float32(0.5),
+    "complex64": np.complex64(0.5),
+    "timedelta": np.timedelta64(1, "D"),
+}
+SCALAR_VALUE_TYPES = [
+    (sc.ProbabilityTriple, {"p1": 0.5, "p2": 0.5, "p3": 0.5}, sc.InvalidProbabilityError),
+    (sc.BlochVector, {"x1": 0.0, "x2": 0.0, "x3": 0.0}, sc.InvalidBlochVectorError),
+    (sc.GameObservable, {"x": 1.0, "y": 0.0, "z1": 0.0, "z2": 0.0}, sc.InvalidObservableError),
+]
+SPIN_UP_MATRIX = np.array([[1, 0], [0, 0]], dtype=complex)
+
+
+def _returns_or_names_field(kind, name, call, *args, **kwargs):
+    """Call; a value is fine, and so is ``kind`` naming ``name``; any other exception fails the test."""
+    try:
+        call(*args, **kwargs)
+    except kind as error:
+        assert f"field {name!r}" in str(error)
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("value", HOSTILE.values(), ids=HOSTILE.keys())
+    @pytest.mark.parametrize("cls,fields,kind", SCALAR_VALUE_TYPES, ids=["triple", "bloch", "observable"])
+    def test_scalar_value_types_return_or_name_the_field(self, cls, fields, kind, value):
+        for name in fields:
+            payload = {**fields, name: value}
+            _returns_or_names_field(kind, name, cls, **payload)
+            _returns_or_names_field(kind, name, cls.from_dict, payload)
+
+    @pytest.mark.parametrize(
+        "value", [*HOSTILE.values(), [[1, 2], [3]], np.eye(3)], ids=[*HOSTILE.keys(), "ragged", "3x3"]
+    )
+    def test_density_matrix_returns_or_names_the_field(self, value):
+        for call, arg in (
+            (sc.DensityMatrix, value),
+            (sc.density_to_probs, value),
+            (sc.DensityMatrix, [[0.5, value], [value, 0.5]]),
+            (sc.DensityMatrix.from_dict, {"m": value}),
+            (sc.DensityMatrix.from_dict, {"m": [[0.5, 0], [value, 0], [value, 0], [0.5, 0]]}),
+        ):
+            _returns_or_names_field(sc.InvalidDensityMatrixError, "m", call, arg)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[True, 0], [0, 0]],
+            [[0.5, 0], [0, "0.5"]],
+            [[10**400, 0], [0, 0]],
+            "ab",
+            [[1, 2], [3]],
+            np.array([[True, False], [False, False]]),
+            [b"\x01\x00", b"\x00\x00"],
+            {(1, 0): 0, (0, 0): 0},
+            [{1, 0}, {0, 1}],
+            np.array([[1, 0], [0, 0]], dtype="m8[ns]"),
+        ],
+        ids=["bool", "str-entry", "1e400", "str", "ragged", "bool-array", "bytes-rows", "dict", "set-rows", "timedelta-array"],
+    )
+    def test_matrices_of_non_numbers_are_rejected_naming_the_field(self, matrix):
+        for call in (sc.DensityMatrix, sc.density_to_probs):
+            with pytest.raises(sc.InvalidDensityMatrixError, match="^field 'm' "):
+                call(matrix)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[1, 0], [0, 0]]),
+            SPIN_UP_MATRIX.astype(np.complex64),
+            SPIN_UP_MATRIX,
+            [[np.int64(1), np.int64(0)], [np.int64(0), np.int64(0)]],
+        ],
+        ids=["int-array", "complex64-array", "complex128-array", "int64-list"],
+    )
+    def test_numeric_matrices_stay_accepted(self, matrix):
+        assert sc.DensityMatrix(matrix).matrix.tobytes() == sc.DensityMatrix(SPIN_UP_MATRIX).matrix.tobytes()
+        assert sc.density_to_probs(matrix) == sc.ProbabilityTriple(0.5, 0.5, 1.0)
+
+    @pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
+    def test_np_matrix_is_read_as_its_array(self):
+        self.test_numeric_matrices_stay_accepted(np.matrix([[1, 0], [0, 0]]))
+
+    def test_numpy_ints_are_numbers(self):
+        p = sc.ProbabilityTriple(np.int64(1), np.uint8(0), np.int32(1))
+        assert p.as_tuple() == (1.0, 0.0, 1.0)
+        assert all(type(v) is float for v in p.as_tuple())
 
 
 class TestRoundTripBijection:

@@ -137,6 +137,7 @@ class TestSecondMoment:
             a = obs.to_matrix()
             oracle = trace_product(coin_matrix(*point), a @ a)
             assert sc.second_moment(p, obs) == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+            assert sc.second_moment(p, obs) == sc.moments(p, obs, 2).moments[2]
 
 
 class TestGeneratingFunction:
