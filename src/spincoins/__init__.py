@@ -32,7 +32,6 @@ from .coinsim import (
     TossRecord,
     estimate,
     quantum_fraction,
-    sample_state,
     sample_states,
     toss,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "quantum_fraction",
     "quantum_validity",
     "render_triad_svg",
-    "sample_state",
     "sample_states",
     "second_moment",
     "side_lengths",

@@ -171,11 +171,6 @@ def _draw(region: SampleRegion, gen: np.random.Generator, n: int) -> np.ndarray:
     raise ValueError(f"region must be 'cube', 'ball' or 'sphere', got {region!r}")
 
 
-def sample_state(region: SampleRegion, rng: RngSpec) -> ProbabilityTriple:
-    """Draw one triple uniformly from the cube or ball, or from the pure-state sphere."""
-    return sample_states(region, 1, rng)[0]
-
-
 def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[ProbabilityTriple]:
     """Draw ``count`` triples sequentially from a single stream: its first ``count`` accepted rows.
 

@@ -139,14 +139,6 @@ class ProbabilityTriple:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p1, self.p2, self.p3)
 
-    def distributions(self) -> tuple[tuple[float, float], ...]:
-        """The three (heads, tails) distributions derived from the triple."""
-        return tuple((p, 1.0 - p) for p in self.as_tuple())
-
-    def cycled(self) -> "ProbabilityTriple":
-        """Cyclic relabeling of the axes: (p1, p2, p3) -> (p2, p3, p1)."""
-        return ProbabilityTriple(self.p2, self.p3, self.p1)
-
     def to_dict(self) -> dict[str, float]:
         return {"p1": self.p1, "p2": self.p2, "p3": self.p3}
 
@@ -202,8 +194,9 @@ class DensityMatrix:
             else _as_float(v, "m", InvalidDensityMatrixError, "a matrix entry")
             for v in (a, b, c, d)
         ]
-        if not all(map(cmath.isfinite, (a, b, c, d))):
-            raise InvalidDensityMatrixError("field 'm' contains non-finite entries")
+        # b + conj(c) is twice the stored off-diagonal entry; Python addition overflows to inf without a warning
+        if not all(map(cmath.isfinite, (a, b, c, d, b + c.conjugate()))):
+            raise InvalidDensityMatrixError("field 'm' contains non-finite entries or a non-finite Hermitian part")
         deviation = max(abs(b - c.conjugate()), abs(a - a.conjugate()), abs(d - d.conjugate()))
         if deviation > HERMITICITY_ATOL:
             raise InvalidDensityMatrixError(
@@ -298,8 +291,8 @@ def density_to_probs(rho: DensityMatrix | np.ndarray) -> ProbabilityTriple:
     """
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
-    lower = rho.matrix[1, 0]
-    return ProbabilityTriple(0.5 + lower.real, 0.5 + lower.imag, rho.matrix[0, 0].real)
+    lower = complex(rho.matrix[1, 0])  # Python numbers, so an error message shows no numpy repr
+    return ProbabilityTriple(0.5 + lower.real, 0.5 + lower.imag, float(rho.matrix[0, 0].real))
 
 
 def quantum_validity(p: ProbabilityTriple) -> ValidityReport:

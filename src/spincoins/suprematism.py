@@ -15,10 +15,6 @@ from typing import Literal
 
 from .core import BALL_CENTER, ProbabilityTriple, _radius_squared
 
-# The radicand of the side-length formula is provably nonnegative on the
-# cube; anything below zero by more than this is a logic error, not noise.
-RADICAND_CLAMP_ATOL = 1e-12
-
 Region = Literal["cube", "ball"]
 
 # Offset of the ball's area maximisers from the center along (1, 1, 1):
@@ -79,19 +75,16 @@ def side_lengths(p: ProbabilityTriple) -> MalevichTriad:
 
     The quadratic term in p_{k+1} makes the summed area coincide with the
     closed form of :func:`area_sum_closed_form`; that identity is enforced
-    by the test suite. Radicands within -1e-12 of zero are clamped.
+    by the test suite. The radicand is the sum of squares
+    (p_k + p_{k+1} - 1)^2 + (p_k - 1)^2 + p_{k+1}^2; rounding of the expanded
+    form can take it a few ulps below zero near p_k = 1, p_{k+1} = 0, so it
+    is clamped at zero.
     """
     components = p.as_tuple()
     sides = []
     for k in range(3):
         radicand = _side_squared(components[k], components[(k + 1) % 3])
-        if radicand < 0.0:
-            if radicand < -RADICAND_CLAMP_ATOL:
-                raise ArithmeticError(
-                    f"side radicand {radicand!r} is negative beyond tolerance for p={components}"
-                )
-            radicand = 0.0
-        sides.append(math.sqrt(radicand))
+        sides.append(math.sqrt(radicand if radicand >= 0.0 else 0.0))
     area_sum = sum(side * side for side in sides)
     return MalevichTriad((sides[0], sides[1], sides[2]), area_sum)
 

@@ -31,6 +31,11 @@ def coin_matrix(p1: float, p2: float, p3: float) -> np.ndarray:
     return np.array([[p3, off.conjugate()], [off, 1.0 - p3]], dtype=complex)
 
 
+def cycled(p):
+    """Cyclic relabeling of the axes: (p1, p2, p3) -> (p2, p3, p1)."""
+    return type(p)(p.p2, p.p3, p.p1)
+
+
 def hermitian_eigenvalues(matrix: np.ndarray) -> tuple[float, float]:
     """Eigenvalues (low, high) of a 2x2 Hermitian matrix via the quadratic formula."""
     a = matrix[0, 0].real

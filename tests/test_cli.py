@@ -215,6 +215,27 @@ class TestExitCodes:
         assert out == ""
         assert capsys.readouterr().err == "error: field 'm' is too large a number to be a matrix entry\n"
 
+    def test_domain_error_matrix_with_overflowing_hermitian_part_names_field(self):
+        # In a fresh process, so a numpy warning would reach stderr.
+        result = subprocess.run(
+            [sys.executable, "-m", "spincoins.cli", "to-probs", '{"m": [[0.5,0],[1e308,0],[1e308,0],[0.5,0]]}'],
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "'m'" in result.stderr
+        assert "Warning" not in result.stderr
+
+    def test_domain_error_recovered_triple_shows_a_plain_float(self, capsys):
+        code, out = run_cli(["to-probs", '{"m": [[0.5,0],[0.9,0],[0.9,0],[0.5,0]]}'])
+        assert code == 1
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "got 1.4" in err
+        assert "np." not in err
+
     def test_usage_error_payload_file_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "state.json"
         path.write_bytes(b"\xff\xfe" + STATE_MIXED.encode("utf-8"))

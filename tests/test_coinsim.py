@@ -72,6 +72,19 @@ class TestToss:
         with pytest.raises(ValueError, match="heads_counts"):
             sc.TossRecord(10, (11, 0, 0))
 
+    @pytest.mark.parametrize(
+        "n_tosses, heads_counts, message",
+        [
+            (0, (0, 0, 0), "n_tosses must be at least 1, got 0"),
+            (5, (1, 2), "heads_counts must hold exactly three counts"),
+            (5, (1, 2, 6), r"heads_counts\[2\]=6 outside \[0, 5\]"),
+            (5, (-1, 0, 0), r"heads_counts\[0\]=-1 outside \[0, 5\]"),
+        ],
+    )
+    def test_record_rejects_each_bad_field(self, n_tosses, heads_counts, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sc.TossRecord(n_tosses, heads_counts)
+
 
 class TestEstimate:
     def test_all_heads_record(self):
@@ -105,28 +118,28 @@ class TestEstimate:
 class TestSampleState:
     def test_sphere_samples_sit_on_pure_surface(self):
         for seed in range(20):
-            p = sc.sample_state("sphere", sc.RngSpec(seed=seed))
+            p = sc.sample_states("sphere", 1, sc.RngSpec(seed=seed))[0]
             report = sc.quantum_validity(p)
             assert report.radius_squared == pytest.approx(0.25, abs=1e-12)
             assert abs(report.purity_defect) <= 1e-12
 
     def test_ball_samples_are_quantum(self):
         for seed in range(20):
-            p = sc.sample_state("ball", sc.RngSpec(seed=seed))
+            p = sc.sample_states("ball", 1, sc.RngSpec(seed=seed))[0]
             assert sc.quantum_validity(p).is_quantum
 
     def test_cube_samples_in_range(self):
         for seed in range(20):
-            p = sc.sample_state("cube", sc.RngSpec(seed=seed))
+            p = sc.sample_states("cube", 1, sc.RngSpec(seed=seed))[0]
             assert all(0.0 <= v <= 1.0 for v in p.as_tuple())
 
     def test_deterministic_per_spec(self):
         spec = sc.RngSpec(seed=77)
-        assert sc.sample_state("ball", spec) == sc.sample_state("ball", spec)
+        assert sc.sample_states("ball", 1, spec)[0] == sc.sample_states("ball", 1, spec)[0]
 
     def test_rejects_unknown_region(self):
         with pytest.raises(ValueError, match="region"):
-            sc.sample_state("torus", sc.RngSpec(seed=0))
+            sc.sample_states("torus", 1, sc.RngSpec(seed=0))[0]
 
     def test_bulk_sampler_draws_sequentially(self):
         spec = sc.RngSpec(seed=5)
@@ -141,12 +154,6 @@ class TestSampleState:
         spec = sc.RngSpec(seed=seed)
         states = [s.as_tuple() for s in sc.sample_states(region, 20000, spec)]
         assert states == reference_states(region, 20000, spec.generator())
-
-    @pytest.mark.parametrize("region", ["cube", "ball", "sphere"])
-    def test_single_draw_is_first_bulk_draw(self, region):
-        for seed in range(20):
-            spec = sc.RngSpec(seed=seed)
-            assert sc.sample_state(region, spec) == sc.sample_states(region, 1, spec)[0]
 
     def test_bulk_sampler_rejects_zero_count(self):
         with pytest.raises(ValueError, match="count"):

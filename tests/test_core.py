@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spincoins as sc
-from oracles import coin_matrix, hermitian_eigenvalues, trace_product
+from oracles import coin_matrix, cycled, hermitian_eigenvalues, trace_product
 
 probabilities = st.floats(min_value=0.0, max_value=1.0)
 triples = st.builds(sc.ProbabilityTriple, probabilities, probabilities, probabilities)
@@ -46,14 +46,6 @@ class TestProbabilityTriple:
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(sc.InvalidProbabilityError):
             sc.ProbabilityTriple(*bad)
-
-    def test_distributions_are_heads_tails_pairs(self):
-        dists = sc.ProbabilityTriple(0.2, 0.5, 0.9).distributions()
-        assert dists == ((0.2, 0.8), (0.5, 0.5), (0.9, 0.09999999999999998))
-        assert all(abs(sum(d) - 1.0) < 1e-15 for d in dists)
-
-    def test_cycled_relabels_axes(self):
-        assert sc.ProbabilityTriple(0.1, 0.2, 0.3).cycled() == sc.ProbabilityTriple(0.2, 0.3, 0.1)
 
     def test_dict_round_trip(self):
         p = sc.ProbabilityTriple(0.25, 0.5, 0.75)
@@ -112,6 +104,14 @@ class TestDensityMatrix:
     def test_non_finite_rejected(self):
         with pytest.raises(sc.InvalidDensityMatrixError):
             sc.DensityMatrix(np.array([[math.inf, 0.0], [0.0, 1.0]], dtype=complex))
+
+    def test_non_finite_hermitian_part_rejected(self):
+        with pytest.raises(sc.InvalidDensityMatrixError, match="'m' .* non-finite Hermitian part"):
+            sc.DensityMatrix([[0.5, 1e308], [1e308, 0.5]])
+
+    def test_largest_finite_hermitian_part_accepted(self):
+        rho = sc.DensityMatrix([[0.5, 8e307], [8e307, 0.5]])
+        assert rho.matrix[0, 1] == rho.matrix[1, 0] == 8e307
 
     def test_sub_tolerance_asymmetry_is_symmetrized(self):
         m = np.array([[0.5, 0.1], [0.1 + 8e-11j, 0.5]], dtype=complex)
@@ -199,6 +199,10 @@ class TestDensityToProbs:
     def test_rejects_non_hermitian_array(self):
         with pytest.raises(sc.InvalidDensityMatrixError):
             sc.density_to_probs(np.array([[0.5, 0.4], [0.1, 0.5]], dtype=complex))
+
+    def test_passes_python_floats_to_the_triple(self):
+        with pytest.raises(sc.InvalidProbabilityError, match=r"got 1\.4$"):
+            sc.density_to_probs([[0.5, 0.9], [0.9, 0.5]])
 
 
 class TestQuantumValidity:
@@ -447,8 +451,7 @@ class TestPurityEquivalence:
     @given(triples)
     def test_purity_defect_invariant_under_cyclic_permutation(self, p):
         defect = sc.quantum_validity(p).purity_defect
-        cycled = sc.quantum_validity(p.cycled()).purity_defect
-        assert cycled == pytest.approx(defect, abs=1e-12)
+        assert sc.quantum_validity(cycled(p)).purity_defect == pytest.approx(defect, abs=1e-12)
 
 
 class TestOverlapProperties:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spincoins as sc
-from oracles import compass_search_max_area
+from oracles import compass_search_max_area, cycled
 
 probabilities = st.floats(min_value=0.0, max_value=1.0)
 triples = st.builds(sc.ProbabilityTriple, probabilities, probabilities, probabilities)
@@ -41,6 +41,11 @@ class TestSideLengths:
         triad = sc.side_lengths(sc.ProbabilityTriple(1.0, 0.0, 0.5))
         assert min(triad.sides) >= 0.0
 
+    def test_negative_rounded_radicand_clamps_to_zero(self):
+        # The expanded radicand of side 1 rounds to about -4.4e-16 here.
+        triad = sc.side_lengths(sc.ProbabilityTriple(0.999999999, 4e-09, 0.5))
+        assert triad.sides[0] == 0.0
+
 
 class TestAreaClosedForm:
     def test_classical_maximum(self):
@@ -60,7 +65,7 @@ class TestAreaClosedForm:
 
     @given(triples)
     def test_cyclic_symmetry(self, p):
-        assert sc.area_sum_closed_form(p.cycled()) == pytest.approx(
+        assert sc.area_sum_closed_form(cycled(p)) == pytest.approx(
             sc.area_sum_closed_form(p), abs=1e-12
         )
 
