@@ -23,7 +23,9 @@ from .core import (
     QUANTUM_BALL_ATOL,
     InvalidProbabilityError,
     ProbabilityTriple,
+    _is_number,
     _radius_squared,
+    _show,
 )
 from .observables import GameObservable
 
@@ -38,7 +40,7 @@ _BLOCK_ROWS = 2**16
 _MAX_WORKERS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RngSpec:
     """Seeded random generator specification; the bit generator is always PCG64.
 
@@ -71,26 +73,48 @@ class RngSpec:
         return replace(self, stream=stream)
 
 
-@dataclass(frozen=True)
+def _as_int(value: object, name: str) -> int:
+    """``value`` as a Python int, for a count: an int, numpy ones included, never a bool; else ValueError naming ``name``."""
+    if type(value) is int:  # the common case, tested first to keep the record cheap
+        return value
+    if not (isinstance(value, (int, np.integer)) and _is_number(value)):
+        raise ValueError(f"{name} must be an integer, got {_show(value)}")
+    return int(value)
+
+
+_COUNT_NAMES = tuple(f"heads_counts[{k}]" for k in range(3))
+
+
+@dataclass(frozen=True, slots=True)
 class TossRecord:
-    """Raw outcome of tossing each coin ``n_tosses`` times."""
+    """Raw outcome of tossing each coin ``n_tosses`` times.
+
+    Both fields take ints (numpy ones included, never a bool); the counts
+    are stored as a tuple of Python ints.
+    """
 
     n_tosses: int
     heads_counts: tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        if self.n_tosses < 1:
-            raise ValueError(f"n_tosses must be at least 1, got {self.n_tosses}")
-        if len(self.heads_counts) != 3:
+        n = _as_int(self.n_tosses, "n_tosses")
+        if n < 1:
+            raise ValueError(f"n_tosses must be at least 1, got {n}")
+        try:
+            counts = tuple(self.heads_counts)
+        except TypeError:  # not iterable
+            raise ValueError(f"heads_counts must hold exactly three counts, got {_show(self.heads_counts)}") from None
+        if len(counts) != 3:
             raise ValueError("heads_counts must hold exactly three counts")
-        for k, count in enumerate(self.heads_counts):
-            if not 0 <= count <= self.n_tosses:
-                raise ValueError(
-                    f"heads_counts[{k}]={count} outside [0, {self.n_tosses}]"
-                )
+        counts = tuple(map(_as_int, counts, _COUNT_NAMES))
+        for k, count in enumerate(counts):
+            if not 0 <= count <= n:
+                raise ValueError(f"heads_counts[{k}]={count} outside [0, {n}]")
+        object.__setattr__(self, "n_tosses", n)
+        object.__setattr__(self, "heads_counts", counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleStats:
     """Empirical triple and per-coin payoff means derived from a record."""
 
@@ -120,16 +144,16 @@ def toss(p: ProbabilityTriple, n: int, rng: RngSpec) -> TossRecord:
     """Toss the three coins ``n`` times each, independently.
 
     The counts are three binomial draws with success probabilities
-    (p1, p2, p3); fixing the spec fixes the record exactly. ``n`` runs from
-    1 to :data:`MAX_TOSSES`.
+    (p1, p2, p3); fixing the spec fixes the record exactly. ``n`` is an int
+    (numpy ones included, never a bool) from 1 to :data:`MAX_TOSSES`.
     """
+    n = _as_int(n, "n")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if n > MAX_TOSSES:
         raise ValueError(f"n must be at most 2**63 - 1, got {n}")
     gen = rng.generator()
-    counts = gen.binomial(n, [p.p1, p.p2, p.p3])
-    return TossRecord(n_tosses=n, heads_counts=tuple(int(c) for c in counts))
+    return TossRecord(n_tosses=n, heads_counts=gen.binomial(n, [p.p1, p.p2, p.p3]).tolist())
 
 
 def estimate(record: TossRecord, obs: GameObservable) -> SampleStats:
@@ -176,8 +200,9 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
 
     The rows are range-checked once, as one array, and a row outside
     [0, 1] (NaN included) raises :class:`InvalidProbabilityError` naming
-    it. The checked rows then become triples through the trusted
-    constructor, column by column, with no per-field validation.
+    it. The checked rows then become triples through the trusted bulk
+    constructor ``ProbabilityTriple._from_columns``, which fills them column
+    by column with no per-field validation and no Python code per triple.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -191,7 +216,7 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
     if not in_range.all():
         bad = int(np.flatnonzero(~in_range.all(axis=1))[0])
         raise InvalidProbabilityError(f"sampled row {bad}={rows[bad].tolist()!r} is not a coin probability in [0, 1]")
-    return list(map(ProbabilityTriple._unchecked, *rows.T.tolist()))
+    return ProbabilityTriple._from_columns(*rows.T.tolist())
 
 
 def _usable_cpus() -> int:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Mapping
 
 import numpy as np
@@ -109,7 +111,7 @@ def _payload_fields(payload: Any, names: tuple[str, ...], kind: type[CoinStateEr
     return [payload[name] for name in names]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbabilityTriple:
     """Heads probabilities of the three coins (spin-up along x, y, z).
 
@@ -128,13 +130,17 @@ class ProbabilityTriple:
         )
 
     @classmethod
-    def _unchecked(cls, p1: float, p2: float, p3: float) -> "ProbabilityTriple":
-        """Trusted constructor for floats already known to lie in [0, 1]; skips ``__post_init__``."""
-        triple = object.__new__(cls)
-        object.__setattr__(triple, "p1", p1)
-        object.__setattr__(triple, "p2", p2)
-        object.__setattr__(triple, "p3", p3)
-        return triple
+    def _from_columns(cls, p1s: list[float], p2s: list[float], p3s: list[float]) -> list["ProbabilityTriple"]:
+        """Trusted bulk constructor: one triple per row of three equal-length columns of floats already in [0, 1].
+
+        Skips ``__post_init__`` and runs no Python code per triple: the triples
+        are allocated empty, then each field is filled, column by column,
+        through its slot descriptor.
+        """
+        triples = list(map(object.__new__, repeat(cls, len(p1s))))
+        for slot, column in ((cls.p1, p1s), (cls.p2, p2s), (cls.p3, p3s)):
+            deque(map(slot.__set__, triples, column), maxlen=0)
+        return triples
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p1, self.p2, self.p3)
@@ -147,7 +153,7 @@ class ProbabilityTriple:
         return cls(*_payload_fields(payload, ("p1", "p2", "p3"), InvalidProbabilityError))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlochVector:
     """Mean spin projections along x, y, z; each component in [-1, 1]."""
 
@@ -171,7 +177,7 @@ class BlochVector:
         return cls(*_payload_fields(payload, ("x1", "x2", "x3"), InvalidBlochVectorError))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class DensityMatrix:
     """2x2 Hermitian unit-trace matrix indexed by spin projections +1/2, -1/2.
 
@@ -244,7 +250,7 @@ class DensityMatrix:
         return cls([[a, b], [c, d]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidityReport:
     """Outcome of the quantum-admissibility check for a probability triple.
 

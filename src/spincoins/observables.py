@@ -31,7 +31,7 @@ class InvalidObservableError(CoinStateError):
     """Payoff quadruple contains a non-finite or non-numeric entry."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GameObservable:
     """Payoff quadruple (x, y, z1, z2) of the three-coin game.
 
@@ -90,7 +90,7 @@ class GameObservable:
         return cls(*_payload_fields(payload, ("x", "y", "z1", "z2"), InvalidObservableError))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MomentSequence:
     """Moments m_0 .. m_N of a game observable in a given state.
 

@@ -33,7 +33,7 @@ _MAX_SIDE = math.sqrt(2.0)
 _SQUARE_FILLS = ("red", "black", "white")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MalevichTriad:
     """Side lengths of the three squares and their summed area."""
 
@@ -41,7 +41,7 @@ class MalevichTriad:
     area_sum: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtremizationResult:
     """Area maximiser over a region, from :func:`maximize_area`.
 

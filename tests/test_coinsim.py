@@ -79,11 +79,45 @@ class TestToss:
             (5, (1, 2), "heads_counts must hold exactly three counts"),
             (5, (1, 2, 6), r"heads_counts\[2\]=6 outside \[0, 5\]"),
             (5, (-1, 0, 0), r"heads_counts\[0\]=-1 outside \[0, 5\]"),
+            (2.5, (1, 2, 2), "n_tosses must be an integer, got 2.5"),
+            (True, (1, 0, 1), "n_tosses must be an integer, got True"),
+            (np.bool_(True), (1, 0, 1), r"n_tosses must be an integer, got np.True_"),
+            (5, (1.5, 0, 0), r"heads_counts\[0\] must be an integer, got 1.5"),
+            (5, (0, np.float64(2.0), 0), r"heads_counts\[1\] must be an integer, got np.float64\(2.0\)"),
+            (5, (0, 0, False), r"heads_counts\[2\] must be an integer, got False"),
+            (5, "abc", r"heads_counts\[0\] must be an integer, got 'a'"),
+            (5, 5, "heads_counts must hold exactly three counts, got 5"),
         ],
     )
     def test_record_rejects_each_bad_field(self, n_tosses, heads_counts, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             sc.TossRecord(n_tosses, heads_counts)
+
+    @pytest.mark.parametrize(
+        "n_tosses, heads_counts",
+        [(5, [1, 2, 3]), (np.int64(5), (np.int32(1), np.uint8(2), 3)), (5, np.array([1, 2, 3]))],
+        ids=["list", "numpy-integers", "array"],
+    )
+    def test_record_stores_a_tuple_of_python_ints(self, n_tosses, heads_counts):
+        record = sc.TossRecord(n_tosses, heads_counts)
+        assert record == sc.TossRecord(5, (1, 2, 3))
+        assert type(record.n_tosses) is int
+        assert type(record.heads_counts) is tuple
+        assert all(type(count) is int for count in record.heads_counts)
+        hash(record)
+
+    @pytest.mark.parametrize(
+        "n, message", [(10.5, "n must be an integer, got 10.5"), (True, "n must be an integer, got True")]
+    )
+    def test_rejects_non_integer_toss_counts(self, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sc.toss(sc.ProbabilityTriple(0.5, 0.5, 0.5), n, sc.RngSpec(seed=0))
+
+    def test_numpy_integer_toss_count_is_recorded_as_int(self):
+        p = sc.ProbabilityTriple(0.5, 0.5, 0.5)
+        record = sc.toss(p, np.int64(10), sc.RngSpec(seed=0))
+        assert type(record.n_tosses) is int
+        assert record == sc.toss(p, 10, sc.RngSpec(seed=0))
 
 
 class TestEstimate:

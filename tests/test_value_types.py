@@ -1,0 +1,81 @@
+"""Every public value type is a frozen, slotted dataclass that copies and pickles to an equal value."""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import pickle
+import weakref
+
+import pytest
+
+import spincoins as sc
+
+_P = sc.ProbabilityTriple(0.3, 0.8, 0.6)
+_OBS = sc.GameObservable(1.0, -0.5, 2.0, 0.25)
+
+EXAMPLES = {
+    "ProbabilityTriple": _P,
+    "BlochVector": sc.BlochVector(0.1, -0.2, 1.0),
+    "DensityMatrix": sc.probs_to_density(_P),
+    "ValidityReport": sc.quantum_validity(_P),
+    "GameObservable": _OBS,
+    "MomentSequence": sc.moments(_P, _OBS, 4),
+    "MalevichTriad": sc.side_lengths(_P),
+    "ExtremizationResult": sc.maximize_area("ball"),
+    "RngSpec": sc.RngSpec(seed=7, stream=2),
+    "TossRecord": sc.TossRecord(10, (1, 5, 10)),
+    "SampleStats": sc.estimate(sc.TossRecord(10, (1, 5, 10)), _OBS),
+}
+
+
+def test_examples_cover_every_public_value_type():
+    public = {name for name in sc.__all__ if dataclasses.is_dataclass(getattr(sc, name, None))}
+    assert public == set(EXAMPLES)
+    for name, value in EXAMPLES.items():
+        assert type(value) is getattr(sc, name)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+class TestValueType:
+    def test_is_slotted(self, name):
+        value = EXAMPLES[name]
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(value)
+
+    def test_pickle_round_trip_is_equal(self, name):
+        value = EXAMPLES[name]
+        again = pickle.loads(pickle.dumps(value))
+        assert type(again) is type(value)
+        assert again == value
+
+    def test_deepcopy_is_equal(self, name):
+        value = EXAMPLES[name]
+        assert copy.deepcopy(value) == value
+
+    def test_every_field_is_frozen(self, name):
+        value = EXAMPLES[name]
+        for field in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, getattr(value, field.name))
+
+    def test_takes_no_extra_attribute(self, name):
+        # FrozenInstanceError is an AttributeError; Python 3.11 raises TypeError
+        # from the generated frozen __setattr__ of a slotted class instead
+        with pytest.raises((AttributeError, TypeError)):
+            EXAMPLES[name].extra = 1
+
+
+def test_from_columns_matches_the_checked_constructor():
+    columns = ([0.0, -0.0, 1.0, 0.25], [1.0, 0.0, -0.0, 0.5], [-0.0, 1.0, 0.0, 0.75])
+    triples = sc.ProbabilityTriple._from_columns(*columns)
+    assert len(triples) == 4
+    for triple, row in zip(triples, zip(*columns)):
+        checked = sc.ProbabilityTriple(*row)
+        assert type(triple) is sc.ProbabilityTriple
+        assert triple == checked
+        assert hash(triple) == hash(checked)
+        assert repr(triple) == repr(checked)  # the sign of each zero too
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            triple.p1 = 0.5
