@@ -13,9 +13,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, replace
-from typing import ClassVar, Literal
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar, Literal
 
 from .core import (
     BALL_CENTER,
@@ -24,10 +22,14 @@ from .core import (
     InvalidProbabilityError,
     ProbabilityTriple,
     _is_number,
+    _is_numpy,
     _radius_squared,
     _show,
 )
 from .observables import GameObservable
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SampleRegion = Literal["cube", "ball", "sphere"]
 
@@ -56,15 +58,19 @@ class RngSpec:
     algorithm: ClassVar[str] = "pcg64"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
-        if not isinstance(self.stream, int) or isinstance(self.stream, bool) or self.stream < 0:
-            raise ValueError(f"stream must be a nonnegative integer, got {self.stream!r}")
+        seed = _as_int(self.seed, "seed")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must fit an unsigned 64-bit integer, got {seed}")
+        stream = _as_int(self.stream, "stream")
+        if stream < 0:
+            raise ValueError(f"stream must be a nonnegative integer, got {stream!r}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "stream", stream)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this spec's stream."""
+        import numpy as np
+
         sequence = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(sequence))
 
@@ -74,10 +80,10 @@ class RngSpec:
 
 
 def _as_int(value: object, name: str) -> int:
-    """``value`` as a Python int, for a count: an int, numpy ones included, never a bool; else ValueError naming ``name``."""
+    """``value`` as a Python int: an int, numpy ones included, never a bool; else ValueError naming ``name``."""
     if type(value) is int:  # the common case, tested first to keep the record cheap
         return value
-    if not (isinstance(value, (int, np.integer)) and _is_number(value)):
+    if not ((isinstance(value, int) or _is_numpy(value, "integer")) and _is_number(value)):
         raise ValueError(f"{name} must be an integer, got {_show(value)}")
     return int(value)
 
@@ -182,6 +188,8 @@ def _draw(region: SampleRegion, gen: np.random.Generator, n: int) -> np.ndarray:
     rows are normal directions scaled onto the pure-state sphere; their norm
     is summed in order, not by BLAS, so the stream is the same on every build.
     """
+    import numpy as np
+
     if region == "cube":
         return gen.random((n, 3))
     if region == "ball":
@@ -204,6 +212,8 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
     constructor ``ProbabilityTriple._from_columns``, which fills them column
     by column with no per-field validation and no Python code per triple.
     """
+    import numpy as np
+
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     gen = rng.generator()
@@ -240,6 +250,8 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
     so memory is O(``_BLOCK_ROWS``) for any count; each block is centred in
     place and its radius^2 summed with one running total.
     """
+    import numpy as np
+
     if n_samples < 1000:
         raise ValueError(f"n_samples must be at least 1000, got {n_samples}")
     workers = max(1, min(_usable_cpus(), n_samples // _BLOCK_ROWS, _MAX_WORKERS))

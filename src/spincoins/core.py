@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Boundary membership in the quantum ball is decided with an additive
 # tolerance so exact pure states survive floating-point round trips.
@@ -64,11 +66,23 @@ def _radius_squared(d1, d2, d3):
     return d1 * d1 + d2 * d2 + d3 * d3
 
 
+def _is_numpy(value: Any, *kinds: str) -> bool:
+    """Whether ``value`` is an instance of one of the named numpy types, found without importing numpy.
+
+    A numpy value cannot exist before numpy is imported, nor one of a type
+    that numpy, still being imported in another thread, has not defined yet.
+    """
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, tuple(getattr(np, kind, ()) for kind in kinds))
+
+
 def _is_number(value: Any) -> bool:
     """The one input test for numeric fields: an int or float, numpy ones included, never a bool or timedelta."""
     if type(value) is float:  # the common case, tested first to keep the constructors cheap
         return True
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, (bool, np.timedelta64))
+    if isinstance(value, (int, float)):  # numpy's float64 included
+        return not isinstance(value, bool)
+    return _is_numpy(value, "integer", "floating") and not _is_numpy(value, "timedelta64")
 
 
 def _show(value: Any) -> str:
@@ -190,6 +204,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         try:  # an array keeps its entry types; bytes rows, sets and dicts fail the shape test
             m = np.asarray(self.matrix, dtype=None if isinstance(self.matrix, np.ndarray) else object)
             (a, b), (c, d) = m if m.shape == (2, 2) else ()
@@ -224,10 +240,20 @@ class DensityMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DensityMatrix):
             return NotImplemented
+        import numpy as np
+
         return bool(np.array_equal(self.matrix, other.matrix))
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Pickle, copy and deepcopy rebuild a read-only copy of the stored matrix
+        # without re-running the constructor, whose symmetrisation can flip the
+        # sign of a zero.
+        return (_stored_density_matrix, (self.matrix,))
 
     def purity(self) -> float:
         """Tr(rho^2); equals 1 for pure states and 1/2 for the maximally mixed state."""
+        import numpy as np
+
         return float(np.trace(self.matrix @ self.matrix).real)
 
     def to_dict(self) -> dict[str, list[list[float]]]:
@@ -248,6 +274,17 @@ class DensityMatrix:
             for pair in entries
         ]
         return cls([[a, b], [c, d]])
+
+
+def _stored_density_matrix(matrix: np.ndarray) -> DensityMatrix:
+    """A DensityMatrix holding a read-only copy of ``matrix``, a matrix some DensityMatrix already stores."""
+    import numpy as np
+
+    rho = object.__new__(DensityMatrix)
+    matrix = np.array(matrix, dtype=complex)
+    matrix.setflags(write=False)
+    object.__setattr__(rho, "matrix", matrix)
+    return rho
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .core import CoinStateError, NonQuantumStateError, ProbabilityTriple, _coerce_fields, _payload_fields
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Below this payoff radius the observable is a multiple of the identity
 # and the anisotropy coefficient is undefined.
@@ -73,6 +74,8 @@ class GameObservable:
 
         Equals c * I + x * sigma_x + y * sigma_y + z * sigma_z.
         """
+        import numpy as np
+
         return np.array(
             [[self.z1, complex(self.x, -self.y)], [complex(self.x, self.y), self.z2]],
             dtype=complex,

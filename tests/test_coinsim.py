@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import statistics
 import sys
 import threading
@@ -42,6 +43,37 @@ class TestRngSpec:
     def test_rejects_negative_stream(self):
         with pytest.raises(ValueError, match="stream"):
             sc.RngSpec(seed=1, stream=-2)
+
+    @pytest.mark.parametrize(
+        "seed, stream",
+        [(np.int64(5), 0), (5, np.uint8(3)), (np.uint64(2**64 - 1), np.int32(1))],
+        ids=["numpy-seed", "numpy-stream", "numpy-both"],
+    )
+    def test_takes_numpy_integers_and_stores_python_ints(self, seed, stream):
+        spec = sc.RngSpec(seed, stream)
+        assert spec == sc.RngSpec(int(seed), int(stream))
+        assert type(spec.seed) is int and type(spec.stream) is int
+        assert type(spec.with_stream(np.int16(2)).stream) is int
+        assert spec.generator().random() == sc.RngSpec(int(seed), int(stream)).generator().random()
+
+    @pytest.mark.parametrize(
+        "seed, stream, message",
+        [
+            (np.True_, 0, f"seed must be an integer, got {np.True_!r}"),
+            (np.float64(5.0), 0, f"seed must be an integer, got {np.float64(5.0)!r}"),
+            (np.timedelta64(5), 0, f"seed must be an integer, got {np.timedelta64(5)!r}"),
+            (np.int64(-1), 0, "seed must fit an unsigned 64-bit integer, got -1"),
+            (1, np.True_, f"stream must be an integer, got {np.True_!r}"),
+            (1, True, "stream must be an integer, got True"),
+            (1, 1.5, "stream must be an integer, got 1.5"),
+            (1, np.int64(-2), "stream must be a nonnegative integer, got -2"),
+        ],
+        ids=["np-bool-seed", "np-float-seed", "timedelta-seed", "np-negative-seed",
+             "np-bool-stream", "bool-stream", "float-stream", "np-negative-stream"],
+    )
+    def test_rejects_numpy_bools_and_non_integers(self, seed, stream, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sc.RngSpec(seed, stream)
 
 
 class TestToss:

@@ -79,3 +79,35 @@ def test_from_columns_matches_the_checked_constructor():
         assert repr(triple) == repr(checked)  # the sign of each zero too
         with pytest.raises(dataclasses.FrozenInstanceError):
             triple.p1 = 0.5
+
+
+# p = (0, 1/2, 0) leaves signed zeros in its stored matrix; the second matrix
+# stores a -0.0 that re-running the constructor's symmetrisation turns into +0.0.
+STORED_MATRICES = {
+    "p=(0,1/2,0)": sc.probs_to_density(sc.ProbabilityTriple(0.0, 0.5, 0.0)),
+    "re-symmetrised-zero": sc.DensityMatrix([[0.5, complex(-0.0, 0.0)], [complex(-0.0, -0.0), 0.5]]),
+}
+COPIES = {
+    "pickle": lambda rho: pickle.loads(pickle.dumps(rho)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("case", sorted(STORED_MATRICES))
+def test_density_matrix_copies_are_read_only_with_identical_bytes(case, how):
+    rho = STORED_MATRICES[case]
+    again = COPIES[how](rho)
+    assert type(again) is sc.DensityMatrix
+    assert again == rho
+    assert again.matrix.tobytes() == rho.matrix.tobytes()
+    assert again.matrix.dtype == rho.matrix.dtype and again.matrix.shape == (2, 2)
+    assert not again.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        again.matrix[1, 0] = 5.0
+
+
+def test_re_running_the_constructor_would_change_a_stored_matrix():
+    rho = STORED_MATRICES["re-symmetrised-zero"]
+    assert sc.DensityMatrix(rho.matrix).matrix.tobytes() != rho.matrix.tobytes()
