@@ -158,8 +158,9 @@ def toss(p: ProbabilityTriple, n: int, rng: RngSpec) -> TossRecord:
         raise ValueError(f"n must be at least 1, got {n}")
     if n > MAX_TOSSES:
         raise ValueError(f"n must be at most 2**63 - 1, got {n}")
-    gen = rng.generator()
-    return TossRecord(n_tosses=n, heads_counts=gen.binomial(n, [p.p1, p.p2, p.p3]).tolist())
+    # three scalar draws in coin order give the counts of one array draw, as Python ints
+    binomial = rng.generator().binomial
+    return TossRecord(n_tosses=n, heads_counts=(binomial(n, p.p1), binomial(n, p.p2), binomial(n, p.p3)))
 
 
 def estimate(record: TossRecord, obs: GameObservable) -> SampleStats:

@@ -191,7 +191,7 @@ class BlochVector:
         return cls(*_payload_fields(payload, ("x1", "x2", "x3"), InvalidBlochVectorError))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, init=False)
 class DensityMatrix:
     """2x2 Hermitian unit-trace matrix indexed by spin projections +1/2, -1/2.
 
@@ -199,25 +199,31 @@ class DensityMatrix:
     coins may map to indefinite matrices. Whether a matrix is a genuine
     quantum state is a queryable property (see :func:`quantum_validity`),
     not a construction-time constraint.
+
+    ``entries`` holds the matrix row-major as four Python complexes.
     """
 
-    matrix: np.ndarray
+    entries: tuple[complex, complex, complex, complex]
 
-    def __post_init__(self) -> None:
-        import numpy as np
-
-        try:  # an array keeps its entry types; bytes rows, sets and dicts fail the shape test
-            m = np.asarray(self.matrix, dtype=None if isinstance(self.matrix, np.ndarray) else object)
-            (a, b), (c, d) = m if m.shape == (2, 2) else ()
-        except (TypeError, ValueError):  # not two rows of two entries
-            raise InvalidDensityMatrixError("field 'm' must be a 2x2 matrix") from None
+    def __init__(self, matrix: Any) -> None:
+        if not isinstance(matrix, (list, tuple)) and _is_numpy(matrix, "ndarray"):
+            # tolist() gives Python numbers, but would turn timedelta64 and datetime64 entries into ints
+            if matrix.shape == (2, 2) and matrix.dtype.kind not in "mM":
+                matrix = matrix.tolist()
+        # lists and tuples only: bytes rows, sets and dicts unpack to numbers too
+        if not (
+            isinstance(matrix, (list, tuple)) and len(matrix) == 2
+            and all(isinstance(row, (list, tuple)) and len(row) == 2 for row in matrix)
+        ):
+            raise InvalidDensityMatrixError("field 'm' must be a 2x2 matrix of numbers")
         a, b, c, d = [
-            complex(v) if isinstance(v, (complex, np.complexfloating))
-            else _as_float(v, "m", InvalidDensityMatrixError, "a matrix entry")
-            for v in (a, b, c, d)
+            complex(v) if isinstance(v, complex) or not _is_number(v) and _is_numpy(v, "complexfloating")
+            else complex(_as_float(v, "m", InvalidDensityMatrixError, "a matrix entry"))
+            for row in matrix for v in row
         ]
-        # b + conj(c) is twice the stored off-diagonal entry; Python addition overflows to inf without a warning
-        if not all(map(cmath.isfinite, (a, b, c, d, b + c.conjugate()))):
+        # m + m^H, twice the stored entries: non-finite if an entry is, or if Python addition overflowed to inf
+        sums = (a + a.conjugate(), b + c.conjugate(), c + b.conjugate(), d + d.conjugate())
+        if not all(map(cmath.isfinite, sums)):
             raise InvalidDensityMatrixError("field 'm' contains non-finite entries or a non-finite Hermitian part")
         deviation = max(abs(b - c.conjugate()), abs(a - a.conjugate()), abs(d - d.conjugate()))
         if deviation > HERMITICITY_ATOL:
@@ -226,41 +232,33 @@ class DensityMatrix:
             )
         trace = a.real + d.real
         if abs(trace - 1.0) > TRACE_ATOL:
-            raise InvalidDensityMatrixError(
-                f"field 'm' must have unit trace, got {trace!r}"
-            )
+            raise InvalidDensityMatrixError(f"field 'm' must have unit trace, got {trace!r}")
         # Store the Hermitian part (m + m^H) / 2 even for an exact conjugate pair:
-        # it is not a fixed point bit for bit, since halving a complex sum can
-        # flip the sign of a zero imaginary part.
-        m = np.array([[a, b], [c, d]], dtype=complex)
-        m = (m + m.conj().T) / 2.0
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        # it is not a fixed point bit for bit. Each sum is halved as numpy does,
+        # by Smith's division by 2+0j, whose zero cross terms can flip the sign
+        # of a zero. Not as z / 2.0: from Python 3.14 a real divisor divides
+        # each part alone, and the zeros numpy flips keep their sign.
+        halves = [complex((z.real + z.imag * 0.0) / 2.0, (z.imag - z.real * 0.0) / 2.0) for z in sums]
+        object.__setattr__(self, "entries", tuple(halves))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DensityMatrix):
-            return NotImplemented
+    @property
+    def matrix(self) -> np.ndarray:
+        """The stored matrix as a complex128 array; each access builds a new read-only one."""
         import numpy as np
 
-        return bool(np.array_equal(self.matrix, other.matrix))
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        # Pickle, copy and deepcopy rebuild a read-only copy of the stored matrix
-        # without re-running the constructor, whose symmetrisation can flip the
-        # sign of a zero.
-        return (_stored_density_matrix, (self.matrix,))
+        a, b, c, d = self.entries
+        m = np.array([[a, b], [c, d]], dtype=complex)
+        m.setflags(write=False)
+        return m
 
     def purity(self) -> float:
-        """Tr(rho^2); equals 1 for pure states and 1/2 for the maximally mixed state."""
-        import numpy as np
-
-        return float(np.trace(self.matrix @ self.matrix).real)
+        """Tr(rho^2) = a^2 + d^2 + 2|b|^2; equals 1 for pure states and 1/2 for the maximally mixed state."""
+        a, b, _, d = self.entries
+        return a.real * a.real + d.real * d.real + 2.0 * (b.real * b.real + b.imag * b.imag)
 
     def to_dict(self) -> dict[str, list[list[float]]]:
         """Row-major list of [re, im] entry pairs under key 'm'."""
-        return {
-            "m": [[float(v.real), float(v.imag)] for v in self.matrix.reshape(-1)]
-        }
+        return {"m": [[v.real, v.imag] for v in self.entries]}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "DensityMatrix":
@@ -274,17 +272,6 @@ class DensityMatrix:
             for pair in entries
         ]
         return cls([[a, b], [c, d]])
-
-
-def _stored_density_matrix(matrix: np.ndarray) -> DensityMatrix:
-    """A DensityMatrix holding a read-only copy of ``matrix``, a matrix some DensityMatrix already stores."""
-    import numpy as np
-
-    rho = object.__new__(DensityMatrix)
-    matrix = np.array(matrix, dtype=complex)
-    matrix.setflags(write=False)
-    object.__setattr__(rho, "matrix", matrix)
-    return rho
 
 
 @dataclass(frozen=True, slots=True)
@@ -334,8 +321,8 @@ def density_to_probs(rho: DensityMatrix | np.ndarray) -> ProbabilityTriple:
     """
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
-    lower = complex(rho.matrix[1, 0])  # Python numbers, so an error message shows no numpy repr
-    return ProbabilityTriple(0.5 + lower.real, 0.5 + lower.imag, float(rho.matrix[0, 0].real))
+    a, _, lower, _ = rho.entries
+    return ProbabilityTriple(0.5 + lower.real, 0.5 + lower.imag, a.real)
 
 
 def quantum_validity(p: ProbabilityTriple) -> ValidityReport:

@@ -61,6 +61,12 @@ def expm_hermitian_2x2(matrix: np.ndarray) -> np.ndarray:
     return np.exp(c) * (np.cosh(r) * np.eye(2) + (np.sinh(r) / r) * t)
 
 
+def hermitian_part(matrix) -> np.ndarray:
+    """(m + m^H) / 2 of a 2x2 matrix in complex128, as numpy computes it: the bytes a DensityMatrix stores."""
+    m = np.array(matrix, dtype=complex)
+    return (m + m.conj().T) / 2.0
+
+
 def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     """Tr(a @ b) by literal matrix multiplication."""
     return float(np.trace(a @ b).real)

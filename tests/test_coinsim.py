@@ -92,6 +92,19 @@ class TestToss:
         for count in record.heads_counts:
             assert abs(count - n / 2) <= band
 
+    def test_scalar_draws_match_one_array_draw(self):
+        # toss draws each coin with a scalar binomial call; they must give the
+        # counts one array draw of the three probabilities gives from the same stream
+        gen = np.random.default_rng(20)
+        edges = [0.0, 1.0, 0.5, 1e-7, 1.0 - 1e-7, 5e-324]
+        sizes = [1, 2, 17, 10**6, 2**40, coinsim.MAX_TOSSES]
+        for case in range(300):
+            probs = [float(gen.choice(edges)) if gen.random() < 0.5 else float(gen.random()) for _ in range(3)]
+            n = sizes[case % len(sizes)] if case < 60 else int(gen.integers(1, coinsim.MAX_TOSSES, endpoint=True))
+            spec = sc.RngSpec(seed=int(gen.integers(2**63)), stream=case % 3)
+            expected = tuple(spec.generator().binomial(n, probs).tolist())
+            assert sc.toss(sc.ProbabilityTriple(*probs), n, spec).heads_counts == expected, (probs, n, spec)
+
     def test_rejects_zero_tosses(self):
         with pytest.raises(ValueError, match="n"):
             sc.toss(sc.ProbabilityTriple(0.5, 0.5, 0.5), 0, sc.RngSpec(seed=0))

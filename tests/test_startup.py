@@ -38,13 +38,13 @@ SCALAR_CALLS = {
     "moments": (["moments", "--state", STATE, "--obs", OBS, "--n", "4"], 0),
     "genfun": (["genfun", "--state", STATE, "--obs", OBS, "--lam", "0.5"], 0),
     "max-area": (["max-area", "--region", "ball"], 0),
+    "to-density": (["to-density", STATE], 0),
+    "to-probs": (["to-probs", '{"m": [[0.5, 0], [0, 0.25], [0, -0.25], [0.5, 0]]}'], 0),
     "exit-1": (["validate", '{"p1": 7, "p2": 0, "p3": 0}'], 1),
     "exit-2": (["validate", '{"p1": 0.5,'], 2),
 }
 
 ARRAY_CALLS = {
-    "to-density": ["to-density", STATE],
-    "to-probs": ["to-probs", '{"m": [[0.5, 0], [0, 0.25], [0, -0.25], [0.5, 0]]}'],
     "simulate": ["simulate", "--state", STATE, "--obs", OBS, "--n-tosses", "100", "--seed", "3"],
     "sample": ["sample", "--region", "ball", "--count", "3", "--seed", "3"],
     "quantum-fraction": ["quantum-fraction", "--n-samples", "1000", "--seed", "3"],
