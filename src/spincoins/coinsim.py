@@ -21,9 +21,9 @@ from .core import (
     QUANTUM_BALL_ATOL,
     InvalidProbabilityError,
     ProbabilityTriple,
+    _dot,
     _is_number,
     _is_numpy,
-    _radius_squared,
     _show,
 )
 from .observables import GameObservable
@@ -195,10 +195,11 @@ def _draw(region: SampleRegion, gen: np.random.Generator, n: int) -> np.ndarray:
         return gen.random((n, 3))
     if region == "ball":
         rows = gen.random((n, 3))
-        return rows[_radius_squared(*(rows - BALL_CENTER).T) <= BALL_RADIUS_SQ]
+        centred = (rows - BALL_CENTER).T
+        return rows[_dot(centred, centred) <= BALL_RADIUS_SQ]
     if region == "sphere":
         rows = gen.standard_normal((n, 3))
-        norm = np.sqrt(_radius_squared(*rows.T))
+        norm = np.sqrt(_dot(rows.T, rows.T))
         keep = norm > 0.0
         return BALL_CENTER + rows[keep] * (0.5 / norm[keep])[:, None]
     raise ValueError(f"region must be 'cube', 'ball' or 'sphere', got {region!r}")
@@ -275,7 +276,7 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
                     return
                 rows = _draw("cube", gens[k], min(block, bounds[k + 1] - start))
                 rows -= BALL_CENTER
-                hits[k] += int(np.count_nonzero(_radius_squared(*rows.T) <= BALL_RADIUS_SQ + QUANTUM_BALL_ATOL))
+                hits[k] += int(np.count_nonzero(_dot(rows.T, rows.T) <= BALL_RADIUS_SQ + QUANTUM_BALL_ATOL))
         except BaseException as exc:  # re-raised in the caller; a thread would drop it
             errors.append(exc)
 

@@ -55,15 +55,20 @@ class NonQuantumStateError(CoinStateError):
     """The operation is only defined for triples inside the quantum ball."""
 
 
-def _radius_squared(d1, d2, d3):
-    """Squared length (d1^2 + d2^2) + d3^2 of a 3-vector d, such as a triple's offset p - 1/2 from the ball center.
+def _dot(u, v):
+    """Inner product (u0 v0 + u1 v1) + u2 v2 of two 3-vectors: the one home of the quadratic forms in d = p - 1/2.
 
-    Takes floats or equally shaped arrays. The sum runs left to right, the
-    order the samplers' pinned streams depend on; on arrays numpy adds each
-    square into the running total in place, so the only temporaries are the
-    total and one square.
+    Takes sequences of floats or of equally shaped arrays. The sum runs left
+    to right, the order the samplers' pinned streams depend on; on arrays
+    numpy adds each product into the running total in place, so the only
+    temporaries are the total and one product.
     """
-    return d1 * d1 + d2 * d2 + d3 * d3
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _offset(p: ProbabilityTriple) -> tuple[float, float, float]:
+    """Offset d = p - 1/2 of a triple from the ball center; each component is exact for p_k >= 1/4."""
+    return (p.p1 - BALL_CENTER, p.p2 - BALL_CENTER, p.p3 - BALL_CENTER)
 
 
 def _is_numpy(value: Any, *kinds: str) -> bool:
@@ -332,28 +337,23 @@ def quantum_validity(p: ProbabilityTriple) -> ValidityReport:
     ball center is at most 1/4, equivalently iff the smaller matrix
     eigenvalue 1/2 - sqrt(radius_squared) is nonnegative.
     """
-    d1, d2, d3 = p.p1 - BALL_CENTER, p.p2 - BALL_CENTER, p.p3 - BALL_CENTER
-    radius_squared = _radius_squared(d1, d2, d3)
+    d = _offset(p)
+    radius_squared = _dot(d, d)
     root = math.sqrt(radius_squared)
     return ValidityReport(
         radius_squared=radius_squared,
         is_quantum=radius_squared <= BALL_RADIUS_SQ + QUANTUM_BALL_ATOL,
         eigenvalues=(0.5 - root, 0.5 + root),
-        purity_defect=d1 * d1 + d2 * d2 - p.p3 * (1.0 - p.p3),
+        purity_defect=radius_squared - BALL_RADIUS_SQ,
     )
 
 
 def overlap(p: ProbabilityTriple, q: ProbabilityTriple) -> float:
-    """State overlap Tr(rho_p rho_q) in coin coordinates.
+    """State overlap Tr(rho_p rho_q) = 1/2 + 2 d_p . d_q, with d = p - 1/2 the offsets from the ball center.
 
-    Both diagonal terms enter with a plus sign:
-
-        p3 q3 + (1 - p3)(1 - q3) + 2 [(p1 - 1/2)(q1 - 1/2) + (p2 - 1/2)(q2 - 1/2)]
-
-    The sign of the second term is forced by the maximally mixed
-    self-overlap, which must be 1/2 (a minus sign there would give 0).
-    Defined only for quantum-admissible triples; equals 1 iff both states
-    are pure and identical.
+    Defined only for quantum-admissible triples; equals 1/2 for the
+    maximally mixed state with any state, and 1 iff both states are pure
+    and identical.
     """
     for name, triple in (("p", p), ("q", q)):
         report = quantum_validity(triple)
@@ -362,11 +362,7 @@ def overlap(p: ProbabilityTriple, q: ProbabilityTriple) -> float:
                 f"{name}={triple.as_tuple()} is outside the quantum ball "
                 f"(radius_squared={report.radius_squared:.6f} > 0.25)"
             )
-    return (
-        p.p3 * q.p3
-        + (1.0 - p.p3) * (1.0 - q.p3)
-        + 2.0 * ((p.p1 - 0.5) * (q.p1 - 0.5) + (p.p2 - 0.5) * (q.p2 - 0.5))
-    )
+    return 0.5 + 2.0 * _dot(_offset(p), _offset(q))
 
 
 def bloch_to_probs(x: BlochVector) -> ProbabilityTriple:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
-from .core import CoinStateError, NonQuantumStateError, ProbabilityTriple, _coerce_fields, _payload_fields
+from .core import CoinStateError, NonQuantumStateError, ProbabilityTriple, _coerce_fields, _dot, _offset, _payload_fields
 
 if TYPE_CHECKING:
     import numpy as np
@@ -135,8 +135,12 @@ def mean(p: ProbabilityTriple, obs: GameObservable) -> float:
 
 
 def _two_point_law(p: ProbabilityTriple, obs: GameObservable) -> tuple[float, float, float]:
-    """Anisotropy f = (<A> - c) / r (0 if r = 0) and the weights (1 + f) / 2, (1 - f) / 2 of c + r, c - r."""
-    f = 0.0 if obs.is_degenerate() else (mean(p, obs) - obs.c) / obs.r
+    """Anisotropy f = (<A> - c) / r (0 if r = 0) and the weights (1 + f) / 2, (1 - f) / 2 of c + r, c - r.
+
+    f is computed as 2 d . (x, y, z) / r with d = p - 1/2, free of the
+    cancellation in <A> - c that can push |f| of a pure state past 1.
+    """
+    f = 0.0 if obs.is_degenerate() else 2.0 * _dot(_offset(p), (obs.x, obs.y, obs.z)) / obs.r
     return f, (1.0 + f) / 2.0, (1.0 - f) / 2.0
 
 
@@ -155,7 +159,9 @@ def generating_function(p: ProbabilityTriple, obs: GameObservable, lam: float) -
         raise ValueError(f"lam={lam!r} is not finite")
     _, w_plus, w_minus = _two_point_law(p, obs)
     c, r = obs.c, obs.r
-    return w_plus * math.exp(lam * (c + r)) + w_minus * math.exp(lam * (c - r))
+    # A zero weight's exponential may overflow and is never taken: exp(0) = 1 gives the same zero term.
+    up, down = (c + r if w_plus else 0.0), (c - r if w_minus else 0.0)
+    return w_plus * math.exp(lam * up) + w_minus * math.exp(lam * down)
 
 
 def moments(p: ProbabilityTriple, obs: GameObservable, n_max: int) -> MomentSequence:
@@ -168,10 +174,13 @@ def moments(p: ProbabilityTriple, obs: GameObservable, n_max: int) -> MomentSequ
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     f, w_plus, w_minus = _two_point_law(p, obs)
     c, r = obs.c, obs.r
+    # A zero weight's power may overflow and is never taken: a base of +-1 gives the same signed zero term.
+    up = c + r if w_plus else math.copysign(1.0, c + r)
+    down = c - r if w_minus else math.copysign(1.0, c - r)
     # A list, not a generator: tuple() of a list allocates the exact size, which
     # keeps CPython's per-size tuple free lists from filling up (MBs of RSS).
     return MomentSequence(
-        moments=tuple([w_plus * (c + r) ** n + w_minus * (c - r) ** n for n in range(n_max + 1)]),
+        moments=tuple([w_plus * up**n + w_minus * down**n for n in range(n_max + 1)]),
         c=c,
         r=r,
         f=None if obs.is_degenerate() else f,

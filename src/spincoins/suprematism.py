@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .core import BALL_CENTER, ProbabilityTriple, _radius_squared
+from .core import BALL_CENTER, ProbabilityTriple, _dot, _offset
 
 Region = Literal["cube", "ball"]
 
@@ -62,31 +62,23 @@ class ExtremizationResult:
         }
 
 
-def _side_squared(a: float, b: float) -> float:
-    return 2.0 * a * a + 2.0 * b * b + 2.0 * a * b - 4.0 * a - 2.0 * b + 2.0
-
-
 def side_lengths(p: ProbabilityTriple) -> MalevichTriad:
     """Side lengths y_1, y_2, y_3 of the triad, plus the summed area.
 
     Side k couples coin k with coin k+1, indices wrapping 3 -> 1:
 
-        y_k^2 = 2 p_k^2 + 2 p_{k+1}^2 + 2 p_k p_{k+1} - 4 p_k - 2 p_{k+1} + 2
+        y_k = sqrt((p_k - 1 + p_{k+1})^2 + (p_k - 1)^2 + p_{k+1}^2)
 
-    The quadratic term in p_{k+1} makes the summed area coincide with the
-    closed form of :func:`area_sum_closed_form`; that identity is enforced
-    by the test suite. The radicand is the sum of squares
-    (p_k + p_{k+1} - 1)^2 + (p_k - 1)^2 + p_{k+1}^2; rounding of the expanded
-    form can take it a few ulps below zero near p_k = 1, p_{k+1} = 0, so it
-    is clamped at zero.
+    The radicand is a sum of squares, never negative, and ``math.hypot``
+    roots it without squaring into underflow. As p_k - 1 is exact for
+    p_k >= 1/2, a side above the smallest normal float has a relative error
+    below 2^-52, even near the corners p_k = 1, p_{k+1} = 0 where it
+    vanishes. The summed area
+    y_1^2 + y_2^2 + y_3^2 is :func:`area_sum_closed_form`, its one formula.
     """
-    components = p.as_tuple()
-    sides = []
-    for k in range(3):
-        radicand = _side_squared(components[k], components[(k + 1) % 3])
-        sides.append(math.sqrt(radicand if radicand >= 0.0 else 0.0))
-    area_sum = sum(side * side for side in sides)
-    return MalevichTriad((sides[0], sides[1], sides[2]), area_sum)
+    p1, p2, p3 = p.as_tuple()
+    sides = tuple(math.hypot(a - 1.0 + b, a - 1.0, b) for a, b in ((p1, p2), (p2, p3), (p3, p1)))
+    return MalevichTriad(sides, area_sum_closed_form(p))
 
 
 def area_sum_closed_form(p: ProbabilityTriple) -> float:
@@ -96,9 +88,9 @@ def area_sum_closed_form(p: ProbabilityTriple) -> float:
     3/2 at the ball center, 3 on the sphere along +-(1, 1, 1), and 6 at the
     cube vertices (0, 0, 0) and (1, 1, 1).
     """
-    d1, d2, d3 = p.p1 - BALL_CENTER, p.p2 - BALL_CENTER, p.p3 - BALL_CENTER
-    offset_sum = d1 + d2 + d3
-    return 1.5 + 3.0 * _radius_squared(d1, d2, d3) + offset_sum * offset_sum
+    d = _offset(p)
+    offset_sum = d[0] + d[1] + d[2]
+    return 1.5 + 3.0 * _dot(d, d) + offset_sum * offset_sum
 
 
 def maximize_area(region: Region) -> ExtremizationResult:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 
@@ -114,6 +115,55 @@ def reference_states(region: str, count: int, gen: np.random.Generator) -> list[
         else:
             raise ValueError(f"unknown region {region!r}")
     return states
+
+
+def edge_cube_points(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Cube samples that reach the cube's edge cases, shape (count, 3).
+
+    A quarter of the rows lie within 10^-3 of a cube corner, at distances
+    spread from 10^-16 to 10^-3 on a log scale. In the other rows each
+    component is uniform, within 10^-3 of a face, or one of the values
+    0, 1/4, 1/2, 1, 1 - 2^-53, 2^-60, 1e-300 and the smallest subnormal.
+    """
+    corner = rng.integers(0, 2, size=(count, 3)).astype(float)
+    inward = 10.0 ** rng.uniform(-16.0, -3.0, size=(count, 3))
+    near_corner = np.abs(corner - inward)
+    special = np.array([0.0, 0.25, 0.5, 1.0, 1.0 - 2.0**-53, 2.0**-60, 1e-300, 5e-324])
+    mixed = rng.random((count, 3))
+    kind = rng.integers(0, 4, size=(count, 3))
+    mixed = np.where(kind == 1, near_corner, mixed)
+    mixed = np.where(kind == 2, special[rng.integers(0, len(special), size=(count, 3))], mixed)
+    return np.where((np.arange(count) < count // 4)[:, None], near_corner, mixed)
+
+
+def exact_offset(triple) -> list[Fraction]:
+    """Offset p - 1/2 of a triple of floats from the ball center, in exact rationals."""
+    return [Fraction(v) - Fraction(1, 2) for v in triple]
+
+
+def exact_area(d: list[Fraction]) -> Fraction:
+    """Summed square area 3/2 + 3 |d|^2 + (d1 + d2 + d3)^2 at the offset d = p - 1/2, in exact rationals."""
+    return Fraction(3, 2) + 3 * sum(dk * dk for dk in d) + sum(d) ** 2
+
+
+def exact_side_squared(a: float, b: float) -> Fraction:
+    """Squared side (a - 1 + b)^2 + (a - 1)^2 + b^2 of the square coupling coins a and b, in exact rationals."""
+    a, b = Fraction(a), Fraction(b)
+    return (a - 1 + b) ** 2 + (a - 1) ** 2 + b * b
+
+
+def exact_real(value: Fraction) -> mpmath.mpf:
+    """A rational as an mpmath number at the working precision (60 digits inside ``mpmath.workdps(60)``)."""
+    return mpmath.mpf(value.numerator) / value.denominator
+
+
+def sqrt_relative_error(value: float, square: Fraction) -> float:
+    """Relative error of ``value`` as the square root of ``square``, measured at 60 digits; 0 only if exact."""
+    if square == 0:
+        return 0.0 if value == 0.0 else math.inf
+    with mpmath.workdps(60):
+        root = mpmath.sqrt(exact_real(square))
+        return float(abs(value - root) / root)
 
 
 def moments_oracle(p, obs, n_max: int) -> tuple[float, ...]:

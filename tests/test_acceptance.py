@@ -77,12 +77,13 @@ def test_criterion_03_side_length_area_consistency():
     worst = 0.0
     for point in points:
         p = sc.ProbabilityTriple(*point)
-        worst = max(worst, abs(sc.side_lengths(p).area_sum - sc.area_sum_closed_form(p)))
+        triad = sc.side_lengths(p)
+        worst = max(worst, abs(sum(side * side for side in triad.sides) - triad.area_sum))
     ok = worst <= 1e-12
     _report(
         "criterion 3 side-length/area consistency",
         ok,
-        f"worst |sum y_k^2 - closed form| = {worst:.3e} over 10^4 triples",
+        f"worst |sum y_k^2 - area_sum| = {worst:.3e} over 10^4 triples",
     )
 
 

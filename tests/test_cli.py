@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from golden_cases import JSON_CASES, SVG_CASES, STATE_MIXED, STATE_TILTED, OBS_SIGMA_X
+from golden_cases import JSON_CASES, SVG_CASES, STATE_MIXED, STATE_TILTED, OBS_SIGMA_X, OBS_SIGMA_Z
 from spincoins import coinsim
 from spincoins.cli import DEFAULT_SEED, MAX_MOMENT_ORDER, MAX_QF_SAMPLES, MAX_SAMPLE_COUNT, SEED_ENV_VAR, run
 
@@ -144,6 +144,23 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_zero_weight_outcome_with_overflowing_exponential(self):
+        # All weight sits on the outcome -1, so e^{+710} is never taken; the exact value is e^{-710}.
+        code, out = run_cli(
+            ["genfun", "--lam", "710", "--state", '{"p1": 0.5, "p2": 0.5, "p3": 0}', "--obs", OBS_SIGMA_Z]
+        )
+        assert code == 0
+        assert json.loads(out)["value"] == math.exp(-710.0)
+
+    def test_zero_weight_outcome_with_overflowing_power(self):
+        # All weight sits on the outcome -10, so 110^200 is never taken; the exact m_200 is 1e200.
+        code, out = run_cli(
+            ["moments", "--n", "200", "--state", '{"p1": 0.5, "p2": 0.5, "p3": 0}',
+             "--obs", '{"x": 0, "y": 0, "z1": 110, "z2": -10}']
+        )
+        assert code == 0
+        assert json.loads(out)["moments"][200] == pytest.approx(1e200, rel=1e-13)
 
     @pytest.mark.parametrize("flag", ["--grid-density", "--refinement-steps"])
     def test_usage_error_max_area_takes_only_region(self, flag):

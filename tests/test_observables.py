@@ -388,6 +388,11 @@ class TestOutcomeDistribution:
             assert first == pytest.approx(sc.mean(p, obs), rel=1e-10, abs=1e-10)
             assert second == pytest.approx(sc.second_moment(p, obs), rel=1e-10, abs=1e-10)
 
+    def test_pure_state_with_tiny_payoff_gap_is_quantum(self):
+        # <A> - c cancels here and gave f = 1.0000000827; the exact f is 1.
+        pairs = sc.outcome_distribution(PLUS_X, sc.GameObservable(1e-11, 0, 5, 5))
+        assert [w for _, w in pairs] == [1.0, 0.0]
+
     def test_flags_non_quantum_state(self):
         corner = sc.ProbabilityTriple(1.0, 1.0, 1.0)
         obs = sc.GameObservable(1, 1, 0, 0)

@@ -6,14 +6,13 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spincoins as sc
-from oracles import compass_search_max_area, cycled
+from oracles import compass_search_max_area, cycled, exact_area, exact_side_squared, sqrt_relative_error
 
 probabilities = st.floats(min_value=0.0, max_value=1.0)
 triples = st.builds(sc.ProbabilityTriple, probabilities, probabilities, probabilities)
@@ -41,10 +40,19 @@ class TestSideLengths:
         triad = sc.side_lengths(sc.ProbabilityTriple(1.0, 0.0, 0.5))
         assert min(triad.sides) >= 0.0
 
-    def test_negative_rounded_radicand_clamps_to_zero(self):
-        # The expanded radicand of side 1 rounds to about -4.4e-16 here.
-        triad = sc.side_lengths(sc.ProbabilityTriple(0.999999999, 4e-09, 0.5))
-        assert triad.sides[0] == 0.0
+    def test_near_corner_sides_match_exact_fractions(self):
+        points = [
+            (0.999999999, 4e-09, 0.5),  # exact side 1 is 5.099e-09; an expanded radicand rounds below 0
+            (1.0 - 2.0**-53, 2.0**-60, 1.0),
+            (0.9999999999999999, 1e-16, 0.0),
+            (1.0, 1e-300, 0.0),  # side 1 is 1.4e-300, whose square underflows
+            (1.0, 0.0, 1.0),  # side 1 is exactly 0
+        ]
+        for point in points:
+            triad = sc.side_lengths(sc.ProbabilityTriple(*point))
+            for k, side in enumerate(triad.sides):
+                square = exact_side_squared(point[k], point[(k + 1) % 3])
+                assert sqrt_relative_error(side, square) < 2.0**-52, (point, k)
 
 
 class TestAreaClosedForm:
@@ -61,25 +69,14 @@ class TestAreaClosedForm:
     @given(triples)
     @settings(max_examples=300)
     def test_matches_summed_side_squares(self, p):
-        assert sc.side_lengths(p).area_sum == pytest.approx(sc.area_sum_closed_form(p), abs=1e-12)
+        triad = sc.side_lengths(p)
+        assert sum(side * side for side in triad.sides) == pytest.approx(triad.area_sum, abs=1e-12)
 
     @given(triples)
     def test_cyclic_symmetry(self, p):
         assert sc.area_sum_closed_form(cycled(p)) == pytest.approx(
             sc.area_sum_closed_form(p), abs=1e-12
         )
-
-
-def test_radicand_nonnegative_on_cube_bulk():
-    # 1e6 random cube points; the side radicand never dips below -1e-12.
-    gen = np.random.default_rng(5)
-    points = gen.random((10**6, 3))
-    worst = math.inf
-    for k in range(3):
-        a, b = points[:, k], points[:, (k + 1) % 3]
-        radicand = 2 * a * a + 2 * b * b + 2 * a * b - 4 * a - 2 * b + 2
-        worst = min(worst, float(np.min(radicand)))
-    assert worst >= -1e-12
 
 
 class TestMaximizeArea:
@@ -151,17 +148,14 @@ class TestExactAreaAlgebra:
             3 + 2 * sum(pk**2 for pk in p) - 3 * sum(p) + p[0] * p[1] + p[1] * p[2] + p[2] * p[0]
         )
         offset_form = sympy.Rational(3, 2) + 3 * sum(dk**2 for dk in d) + sum(d) ** 2
-        side_squares = sum(
-            2 * a**2 + 2 * b**2 + 2 * a * b - 4 * a - 2 * b + 2
-            for a, b in zip(p, p[1:] + p[:1])
-        )
+        side_squares = sum((a - 1 + b) ** 2 + (a - 1) ** 2 + b**2 for a, b in zip(p, p[1:] + p[:1]))
         assert sympy.expand(polynomial - offset_form) == 0
         assert sympy.expand(side_squares - offset_form) == 0
 
     def test_cube_maximum_in_rationals(self):
         half = Fraction(1, 2)
         areas = {
-            vertex: _exact_area([Fraction(v) - half for v in vertex])
+            vertex: exact_area([Fraction(v) - half for v in vertex])
             for vertex in itertools.product((0, 1), repeat=3)
         }
         assert max(areas.values()) == 6
@@ -177,12 +171,8 @@ class TestExactAreaAlgebra:
         result = sc.maximize_area("ball")
         d = [Fraction(x) - Fraction(1, 2) for x in result.best_p.as_tuple()]
         assert sum(dk * dk for dk in d) <= Fraction(1, 4)
-        assert abs(_exact_area(d) - 3) <= Fraction(1, 2**50)
+        assert abs(exact_area(d) - 3) <= Fraction(1, 2**50)
         assert Fraction(result.best_value) == 3
-
-
-def _exact_area(d: list[Fraction]) -> Fraction:
-    return Fraction(3, 2) + 3 * sum(dk * dk for dk in d) + sum(d) ** 2
 
 
 class TestRenderTriadSvg:
