@@ -15,9 +15,10 @@ import cmath
 import math
 import sys
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     import numpy as np
@@ -114,10 +115,11 @@ def _coerce_fields(
     """The one number check of the value types: store each field as a finite float in [low, high], or raise ``kind``."""
     for name in names:
         value = getattr(obj, name)
-        numeric = _as_float(value, name, kind, domain)
+        numeric = value if type(value) is float else _as_float(value, name, kind, domain)
         if not (math.isfinite(numeric) and low <= numeric <= high):
             raise kind(f"field {name!r} must be {domain}, got {value!r}")
-        object.__setattr__(obj, name, numeric)
+        if numeric is not value:  # a plain float is checked where the dataclass __init__ stored it
+            object.__setattr__(obj, name, numeric)
 
 
 def _payload_fields(payload: Any, names: tuple[str, ...], kind: type[CoinStateError]) -> list[Any]:
@@ -355,14 +357,15 @@ def overlap(p: ProbabilityTriple, q: ProbabilityTriple) -> float:
     maximally mixed state with any state, and 1 iff both states are pure
     and identical.
     """
-    for name, triple in (("p", p), ("q", q)):
-        report = quantum_validity(triple)
-        if not report.is_quantum:
+    d_p, d_q = _offset(p), _offset(q)
+    for name, triple, d in (("p", p, d_p), ("q", q, d_q)):
+        radius_squared = _dot(d, d)
+        if not radius_squared <= BALL_RADIUS_SQ + QUANTUM_BALL_ATOL:  # the ball test of quantum_validity
             raise NonQuantumStateError(
                 f"{name}={triple.as_tuple()} is outside the quantum ball "
-                f"(radius_squared={report.radius_squared:.6f} > 0.25)"
+                f"(radius_squared={radius_squared:.6f} > 0.25)"
             )
-    return 0.5 + 2.0 * _dot(_offset(p), _offset(q))
+    return 0.5 + 2.0 * _dot(d_p, d_q)
 
 
 def bloch_to_probs(x: BlochVector) -> ProbabilityTriple:

@@ -11,8 +11,9 @@ two-point law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
 from .core import CoinStateError, NonQuantumStateError, ProbabilityTriple, _coerce_fields, _dot, _offset, _payload_fields
 
@@ -36,34 +37,28 @@ class InvalidObservableError(CoinStateError):
 class GameObservable:
     """Payoff quadruple (x, y, z1, z2) of the three-coin game.
 
-    Derived quantities: ``c = (z1 + z2) / 2`` is the isotropic payoff
-    offset, ``z = (z1 - z2) / 2`` the half payoff gap of the third coin,
-    and ``r = sqrt(x^2 + y^2 + z^2)`` the payoff radius. The matrix form
-    has eigenvalues c - r and c + r.
+    Derived quantities, computed once at construction: ``c = (z1 + z2) / 2``
+    is the isotropic payoff offset, ``z = (z1 - z2) / 2`` the half payoff
+    gap of the third coin, and ``r = sqrt(x^2 + y^2 + z^2)`` the payoff
+    radius. They are stored fields that take no argument and play no part
+    in equality, hashing or repr. The matrix form has eigenvalues c - r
+    and c + r.
     """
 
     x: float
     y: float
     z1: float
     z2: float
+    c: float = field(init=False, repr=False, compare=False)
+    z: float = field(init=False, repr=False, compare=False)
+    r: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _coerce_fields(self, ("x", "y", "z1", "z2"), InvalidObservableError, -math.inf, math.inf, "finite")
-
-    @property
-    def c(self) -> float:
-        """Isotropic payoff offset (z1 + z2) / 2."""
-        return (self.z1 + self.z2) / 2.0
-
-    @property
-    def z(self) -> float:
-        """Half payoff gap (z1 - z2) / 2 of the third coin."""
-        return (self.z1 - self.z2) / 2.0
-
-    @property
-    def r(self) -> float:
-        """Payoff radius sqrt(x^2 + y^2 + z^2)."""
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        z = (self.z1 - self.z2) / 2.0
+        object.__setattr__(self, "c", (self.z1 + self.z2) / 2.0)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "r", math.sqrt(self.x * self.x + self.y * self.y + z * z))
 
     def is_degenerate(self) -> bool:
         """True when the observable is a multiple of the identity (r = 0)."""

@@ -122,19 +122,14 @@ def maximize_area(region: Region) -> ExtremizationResult:
     )
 
 
-def _fmt(value: float) -> str:
-    """Fixed-precision pixel coordinate; keeps SVG output byte deterministic."""
-    return f"{value:.4f}"
-
-
 def render_triad_svg(triad: MalevichTriad, *, scale: float = 100.0) -> str:
     """Render the triad as an SVG 1.1 document string.
 
     Three axis-aligned squares sit on a common baseline, left to right in
     index order, filled red, black, and white with black outlines. Side
     lengths are ``scale`` pixels per unit, at most :data:`MAX_SCALE`, on a
-    canvas whose size must be finite. Output bytes are deterministic for a
-    fixed triad and scale.
+    canvas whose size must be finite. Every coordinate has four fixed
+    decimals, so output bytes are deterministic for a fixed triad and scale.
     """
     pad = _SVG_PAD * scale
     gap = _SVG_GAP * scale
@@ -150,14 +145,14 @@ def render_triad_svg(triad: MalevichTriad, *, scale: float = 100.0) -> str:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+        f'width="{width:.4f}" height="{height:.4f}" '
+        f'viewBox="0 0 {width:.4f} {height:.4f}">',
     ]
     cursor = pad
     for side, fill in zip(sides_px, _SQUARE_FILLS):
         lines.append(
-            f'  <rect x="{_fmt(cursor)}" y="{_fmt(baseline - side)}" '
-            f'width="{_fmt(side)}" height="{_fmt(side)}" '
+            f'  <rect x="{cursor:.4f}" y="{baseline - side:.4f}" '
+            f'width="{side:.4f}" height="{side:.4f}" '
             f'fill="{fill}" stroke="black" stroke-width="1"/>'
         )
         cursor += side + gap

@@ -357,6 +357,36 @@ class TestOverlap:
         with pytest.raises(sc.NonQuantumStateError):
             sc.overlap(mixed, corner)
 
+    def test_ball_test_at_the_boundary_is_that_of_quantum_validity(self):
+        # p1 steps one ulp at a time while radius_squared crosses 0.25 + 1e-9, the
+        # ball test's bound, so it takes the float below, at and above the bound.
+        bound = 0.25 + 1e-9
+        wanted = {math.nextafter(bound, 0.0), bound, math.nextafter(bound, 1.0)}
+        p1 = math.nextafter(0.5 + math.sqrt(0.125 + 1e-9), 0.0)
+        for _ in range(40):
+            p1 = math.nextafter(p1, 0.0)
+        triples = {}
+        for _ in range(80):
+            triple = sc.ProbabilityTriple(p1, 0.75, 0.75)
+            triples.setdefault(sc.quantum_validity(triple).radius_squared, triple)
+            p1 = math.nextafter(p1, 1.0)
+        assert wanted <= set(triples)
+        mixed = sc.ProbabilityTriple(0.5, 0.5, 0.5)
+        for radius_squared in sorted(wanted):
+            triple = triples[radius_squared]
+            quantum = sc.quantum_validity(triple).is_quantum
+            assert quantum == (radius_squared <= bound)
+            for name, args in (("p", (triple, mixed)), ("q", (mixed, triple))):
+                if quantum:
+                    assert sc.overlap(*args) == 0.5
+                    continue
+                message = (
+                    f"{name}={triple.as_tuple()} is outside the quantum ball "
+                    f"(radius_squared={radius_squared:.6f} > 0.25)"
+                )
+                with pytest.raises(sc.NonQuantumStateError, match=f"^{re.escape(message)}$"):
+                    sc.overlap(*args)
+
 
 class TestBlochMaps:
     def test_zero_vector_is_ball_center(self):

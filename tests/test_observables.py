@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -91,6 +95,80 @@ class TestGameObservable:
             sc.GameObservable(1, 0, 10**400, 0)
         with pytest.raises(sc.InvalidObservableError, match="^field 'z1' is too large a number"):
             sc.GameObservable.from_dict({"x": 1, "y": 0, "z1": 10**400, "z2": 0})
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def _stored_quantities_sweep() -> list[tuple[float, float, float, float]]:
+    """Payoff quadruples over the whole finite range: random spans, signed zeros, subnormals and payoffs near +-1e308."""
+    gen = np.random.default_rng(13)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.0, -1.5, 1e154, 1.7e308, -1.7e308, 1e308, -1e308]
+    quadruples = [tuple(float(v) for v in gen.choice(special, size=4)) for _ in range(400)]
+    for span in (1e-300, 1e-160, 1.0, 1e150, 1e300, 1.7e308):
+        quadruples += [tuple(float(v) for v in span * gen.uniform(-1.0, 1.0, size=4)) for _ in range(50)]
+    return quadruples
+
+
+def _property_formulas(x: float, y: float, z1: float, z2: float) -> tuple[float, float, float]:
+    """c, z and r as the formulas once computed on every access."""
+    z = (z1 - z2) / 2.0
+    return (z1 + z2) / 2.0, z, math.sqrt(x * x + y * y + z * z)
+
+
+class TestStoredQuantities:
+    """c, z and r are computed once, at construction, and are invisible to equality, hashing and repr."""
+
+    def test_match_the_formulas_bit_for_bit(self):
+        for payoffs in _stored_quantities_sweep():
+            obs = sc.GameObservable(*payoffs)
+            expected = _property_formulas(*payoffs)
+            assert [_bits(v) for v in (obs.c, obs.z, obs.r)] == [_bits(v) for v in expected], payoffs
+
+    def test_ignored_by_eq_hash_and_repr(self):
+        obs = sc.GameObservable(3.0, 4.0, 2.0, -2.0)
+        tampered = sc.GameObservable(3.0, 4.0, 2.0, -2.0)
+        for name in ("c", "z", "r"):
+            object.__setattr__(tampered, name, 99.0)
+        assert tampered == obs
+        assert hash(tampered) == hash(obs)
+        assert repr(tampered) == repr(obs) == "GameObservable(x=3.0, y=4.0, z1=2.0, z2=-2.0)"
+        assert tampered.to_dict() == {"x": 3.0, "y": 4.0, "z1": 2.0, "z2": -2.0}
+
+    def test_are_fields_that_take_no_argument(self):
+        described = {f.name: (f.init, f.repr, f.compare) for f in dataclasses.fields(sc.GameObservable)}
+        assert described == {
+            "x": (True, True, True), "y": (True, True, True), "z1": (True, True, True), "z2": (True, True, True),
+            "c": (False, False, False), "z": (False, False, False), "r": (False, False, False),
+        }
+        with pytest.raises(TypeError):
+            sc.GameObservable(1.0, 0.0, 0.0, 0.0, r=2.0)
+
+    @pytest.mark.parametrize(
+        "how",
+        [
+            lambda obs: dataclasses.replace(obs, z2=-0.0),
+            lambda obs: pickle.loads(pickle.dumps(obs)),
+            copy.deepcopy,
+            copy.copy,
+        ],
+        ids=["replace", "pickle", "deepcopy", "copy"],
+    )
+    def test_copies_match_a_fresh_construction(self, how):
+        for payoffs in _stored_quantities_sweep()[::7]:
+            again = how(sc.GameObservable(*payoffs))
+            fresh = sc.GameObservable(again.x, again.y, again.z1, again.z2)
+            assert [_bits(v) for v in (again.c, again.z, again.r)] == [_bits(v) for v in (fresh.c, fresh.z, fresh.r)]
+
+    def test_are_frozen(self):
+        obs = sc.GameObservable(1.0, -0.5, 2.0, 0.25)
+        for name in ("c", "z", "r"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obs, name, 0.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obs, name)
+        assert (obs.c, obs.z, obs.r) == _property_formulas(1.0, -0.5, 2.0, 0.25)
 
 
 class TestMean:

@@ -1,12 +1,17 @@
-"""Every public value type is a frozen, slotted dataclass that copies and pickles to an equal value."""
+"""Every public value type is a frozen, slotted dataclass that copies and pickles to an equal value,
+and checks each number field it takes."""
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 import pickle
+import re
+import struct
 import weakref
 
+import numpy as np
 import pytest
 
 import spincoins as sc
@@ -111,3 +116,76 @@ def test_density_matrix_copies_are_read_only_with_identical_bytes(case, how):
 def test_re_running_the_constructor_would_change_a_stored_matrix():
     rho = STORED_MATRICES["re-symmetrised-zero"]
     assert sc.DensityMatrix(rho.matrix).matrix.tobytes() != rho.matrix.tobytes()
+
+
+class _Float(float):
+    pass
+
+
+# Each input in each field of each checked type, with what the type does with it:
+# the value it stores, or the exact message of the error it raises.
+FIELD_INPUTS = {
+    "float-subclass": _Float(0.25),
+    "numpy-float64": np.float64(0.25),
+    "int": 1,
+    "bool": True,
+    "negative-zero": -0.0,
+    "nan": math.nan,
+}
+FLOAT_FIELD_CHECKS = {
+    "ProbabilityTriple": (
+        sc.ProbabilityTriple, ("p1", "p2", "p3"), 0.5, sc.InvalidProbabilityError,
+        "field {name!r} must be a coin probability in [0, 1], got nan",
+    ),
+    "BlochVector": (
+        sc.BlochVector, ("x1", "x2", "x3"), 0.0, sc.InvalidBlochVectorError,
+        "field {name!r} must be a mean spin projection in [-1, 1], got nan",
+    ),
+    "GameObservable": (
+        sc.GameObservable, ("x", "y", "z1", "z2"), 0.5, sc.InvalidObservableError, "field {name!r} must be finite, got nan",
+    ),
+}
+STORED_FLOATS = {"float-subclass": 0.25, "numpy-float64": 0.25, "int": 1.0, "negative-zero": -0.0}
+
+
+@pytest.mark.parametrize("given", sorted(FIELD_INPUTS))
+@pytest.mark.parametrize("type_name", sorted(FLOAT_FIELD_CHECKS))
+def test_float_fields_accept_refuse_and_store_as_before(type_name, given):
+    cls, names, filler, kind, out_of_domain = FLOAT_FIELD_CHECKS[type_name]
+    for position, name in enumerate(names):
+        args = [filler] * len(names)
+        args[position] = FIELD_INPUTS[given]
+        if given in STORED_FLOATS:
+            value = cls(*args)
+            stored = [getattr(value, field) for field in names]
+            assert all(type(field) is float for field in stored)
+            assert struct.pack("<d", stored[position]) == struct.pack("<d", STORED_FLOATS[given])
+            assert value == cls(*(float(arg) for arg in args))
+        else:
+            message = ("field {name!r} must be a number, got True" if given == "bool" else out_of_domain).format(name=name)
+            with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+                cls(*args)
+
+
+TOSS_RECORD_ERRORS = {
+    "float-subclass": "must be an integer, got 0.25",
+    "numpy-float64": "must be an integer, got np.float64(0.25)",
+    "bool": "must be an integer, got True",
+    "negative-zero": "must be an integer, got -0.0",
+    "nan": "must be an integer, got nan",
+}
+
+
+@pytest.mark.parametrize("given", sorted(FIELD_INPUTS))
+def test_toss_record_accepts_and_refuses_as_before(given):
+    value = FIELD_INPUTS[given]
+    for name, build in (
+        ("n_tosses", lambda: sc.TossRecord(value, (0, 0, 0))),
+        ("heads_counts[0]", lambda: sc.TossRecord(5, (value, 0, 0))),
+    ):
+        if given == "int":
+            record = build()
+            assert type(record.n_tosses) is int and all(type(count) is int for count in record.heads_counts)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(name)} {re.escape(TOSS_RECORD_ERRORS[given])}$"):
+                build()
