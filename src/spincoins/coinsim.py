@@ -18,10 +18,10 @@ from typing import TYPE_CHECKING, ClassVar, Literal
 from .core import (
     BALL_CENTER,
     BALL_RADIUS_SQ,
-    QUANTUM_BALL_ATOL,
     InvalidProbabilityError,
     ProbabilityTriple,
     _dot,
+    _in_ball,
     _is_number,
     _is_numpy,
     _show,
@@ -276,7 +276,7 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
                     return
                 rows = _draw("cube", gens[k], min(block, bounds[k + 1] - start))
                 rows -= BALL_CENTER
-                hits[k] += int(np.count_nonzero(_dot(rows.T, rows.T) <= BALL_RADIUS_SQ + QUANTUM_BALL_ATOL))
+                hits[k] += int(np.count_nonzero(_in_ball(_dot(rows.T, rows.T))))
         except BaseException as exc:  # re-raised in the caller; a thread would drop it
             errors.append(exc)
 

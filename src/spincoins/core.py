@@ -67,6 +67,11 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
+def _in_ball(radius_squared):
+    """The one ball test, of a float or array; only the ball sampler keeps a strict <= 1/4: its rows lie in the ball."""
+    return radius_squared <= BALL_RADIUS_SQ + QUANTUM_BALL_ATOL
+
+
 def _offset(p: ProbabilityTriple) -> tuple[float, float, float]:
     """Offset d = p - 1/2 of a triple from the ball center; each component is exact for p_k >= 1/4."""
     return (p.p1 - BALL_CENTER, p.p2 - BALL_CENTER, p.p3 - BALL_CENTER)
@@ -344,7 +349,7 @@ def quantum_validity(p: ProbabilityTriple) -> ValidityReport:
     root = math.sqrt(radius_squared)
     return ValidityReport(
         radius_squared=radius_squared,
-        is_quantum=radius_squared <= BALL_RADIUS_SQ + QUANTUM_BALL_ATOL,
+        is_quantum=_in_ball(radius_squared),
         eigenvalues=(0.5 - root, 0.5 + root),
         purity_defect=radius_squared - BALL_RADIUS_SQ,
     )
@@ -360,7 +365,7 @@ def overlap(p: ProbabilityTriple, q: ProbabilityTriple) -> float:
     d_p, d_q = _offset(p), _offset(q)
     for name, triple, d in (("p", p, d_p), ("q", q, d_q)):
         radius_squared = _dot(d, d)
-        if not radius_squared <= BALL_RADIUS_SQ + QUANTUM_BALL_ATOL:  # the ball test of quantum_validity
+        if not _in_ball(radius_squared):
             raise NonQuantumStateError(
                 f"{name}={triple.as_tuple()} is outside the quantum ball "
                 f"(radius_squared={radius_squared:.6f} > 0.25)"

@@ -15,18 +15,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from .core import CoinStateError, NonQuantumStateError, ProbabilityTriple, _coerce_fields, _dot, _offset, _payload_fields
+from .core import (
+    CoinStateError, NonQuantumStateError, ProbabilityTriple, _coerce_fields, _dot, _in_ball, _offset, _payload_fields
+)
 
 if TYPE_CHECKING:
     import numpy as np
-
-# Below this payoff radius the observable is a multiple of the identity
-# and the anisotropy coefficient is undefined.
-DEGENERATE_RADIUS_ATOL = 1e-12
-
-# Outcome probabilities tolerate this much floating-point overshoot in the
-# anisotropy coefficient before the state is flagged as non-quantum.
-ANISOTROPY_ATOL = 1e-9
 
 
 class InvalidObservableError(CoinStateError):
@@ -37,12 +31,12 @@ class InvalidObservableError(CoinStateError):
 class GameObservable:
     """Payoff quadruple (x, y, z1, z2) of the three-coin game.
 
-    Derived quantities, computed once at construction: ``c = (z1 + z2) / 2``
-    is the isotropic payoff offset, ``z = (z1 - z2) / 2`` the half payoff
-    gap of the third coin, and ``r = sqrt(x^2 + y^2 + z^2)`` the payoff
-    radius. They are stored fields that take no argument and play no part
-    in equality, hashing or repr. The matrix form has eigenvalues c - r
-    and c + r.
+    Derived quantities, computed once at construction: ``c = z1/2 + z2/2``
+    is the isotropic payoff offset, ``z = z1/2 - z2/2`` the half payoff gap
+    of the third coin (neither overflows), and ``r = hypot(x, y, z)`` the
+    payoff radius, 0 only if x = y = z = 0. They are stored fields that take
+    no argument and play no part in equality, hashing or repr. The matrix
+    form has eigenvalues c - r and c + r.
     """
 
     x: float
@@ -55,14 +49,14 @@ class GameObservable:
 
     def __post_init__(self) -> None:
         _coerce_fields(self, ("x", "y", "z1", "z2"), InvalidObservableError, -math.inf, math.inf, "finite")
-        z = (self.z1 - self.z2) / 2.0
-        object.__setattr__(self, "c", (self.z1 + self.z2) / 2.0)
+        z = self.z1 / 2.0 - self.z2 / 2.0
+        object.__setattr__(self, "c", self.z1 / 2.0 + self.z2 / 2.0)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "r", math.sqrt(self.x * self.x + self.y * self.y + z * z))
+        object.__setattr__(self, "r", math.hypot(self.x, self.y, z))
 
     def is_degenerate(self) -> bool:
         """True when the observable is a multiple of the identity (r = 0)."""
-        return self.r < DEGENERATE_RADIUS_ATOL
+        return self.r == 0.0
 
     def to_matrix(self) -> np.ndarray:
         """Hermitian matrix form [[z1, x - iy], [x + iy, z2]].
@@ -189,13 +183,13 @@ def outcome_distribution(
 
     The probabilities are (1 + f) / 2 and (1 - f) / 2; a degenerate
     observable yields the single outcome c with probability 1. Requires a
-    quantum-admissible state: |f| beyond 1 + 1e-9 cannot come from a state
-    inside the ball and is reported as an error rather than clamped away.
+    quantum state: an f whose half, d = p - 1/2 along the payoffs, fails the
+    ball test (NaN included) is reported as an error rather than clamped away.
     """
     if obs.is_degenerate():
         return [(obs.c, 1.0)]
     f, _, _ = _two_point_law(p, obs)
-    if abs(f) > 1.0 + ANISOTROPY_ATOL:
+    if not _in_ball(f * f / 4.0):
         raise NonQuantumStateError(
             f"anisotropy coefficient {f!r} exceeds 1 in magnitude; "
             f"p={p.as_tuple()} is not a quantum state for this observable"

@@ -162,6 +162,20 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["moments"][200] == pytest.approx(1e200, rel=1e-13)
 
+    def test_tiny_payoffs_keep_their_radius(self):
+        # Their squares underflow: r read 0.0, where the exact r is 5e-170.
+        code, out = run_cli(["moments", "--n", "1", "--state", STATE_MIXED,
+                             "--obs", '{"x": 3e-170, "y": 4e-170, "z1": 0, "z2": 0}'])
+        assert code == 0
+        assert json.loads(out)["r"] == 5e-170
+
+    def test_huge_payoffs_give_a_finite_mean(self):
+        # x^2 overflows: r read inf and m_1 NaN (exit 1), where the exact m_1 is 5e199.
+        code, out = run_cli(["moments", "--n", "1", "--state", STATE_TILTED,
+                             "--obs", '{"x": 1e200, "y": 0, "z1": 0, "z2": 0}'])
+        assert code == 0
+        assert json.loads(out)["moments"] == [1.0, 5e199]
+
     @pytest.mark.parametrize("flag", ["--grid-density", "--refinement-steps"])
     def test_usage_error_max_area_takes_only_region(self, flag):
         code, out = run_cli(["max-area", "--region", "ball", flag, "20"])

@@ -8,7 +8,10 @@ import math
 import pickle
 import re
 import struct
+import sys
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -111,20 +114,64 @@ def _stored_quantities_sweep() -> list[tuple[float, float, float, float]]:
     return quadruples
 
 
-def _property_formulas(x: float, y: float, z1: float, z2: float) -> tuple[float, float, float]:
-    """c, z and r as the formulas once computed on every access."""
-    z = (z1 - z2) / 2.0
-    return (z1 + z2) / 2.0, z, math.sqrt(x * x + y * y + z * z)
+def _exact_radius(x: float, y: float, z: float) -> mpmath.mpf:
+    """sqrt(x^2 + y^2 + z^2) of the floats at 60 digits; its squares are exact."""
+    with mpmath.workdps(60):
+        return mpmath.sqrt(mpmath.mpf(x) ** 2 + mpmath.mpf(y) ** 2 + mpmath.mpf(z) ** 2)
+
+
+def _within_one_ulp(value: float, exact: mpmath.mpf) -> bool:
+    """``value`` is within one ulp of ``exact``, or inf where ``exact`` rounds past the float range."""
+    nearest = float(exact)
+    if math.isinf(nearest):
+        return value == nearest
+    with mpmath.workdps(60):
+        return abs(value - exact) <= math.ulp(nearest)
 
 
 class TestStoredQuantities:
     """c, z and r are computed once, at construction, and are invisible to equality, hashing and repr."""
 
-    def test_match_the_formulas_bit_for_bit(self):
+    def test_c_and_z_halve_first_and_r_is_within_one_ulp(self):
+        # c = z1/2 + z2/2 and z = z1/2 - z2/2 never overflow. With exact halves each is the correctly
+        # rounded exact value, so it is the formula (z1 +- z2) / 2 bit for bit wherever that is finite
+        # and normal. r = hypot(x, y, z) is checked to one ulp, as hypot's last bit differs across
+        # Python versions.
+        checked = 0
         for payoffs in _stored_quantities_sweep():
             obs = sc.GameObservable(*payoffs)
-            expected = _property_formulas(*payoffs)
-            assert [_bits(v) for v in (obs.c, obs.z, obs.r)] == [_bits(v) for v in expected], payoffs
+            x, y, z1, z2 = payoffs
+            halves_exact = z1 / 2.0 * 2.0 == z1 and z2 / 2.0 * 2.0 == z2
+            for value, sign in ((obs.c, 1), (obs.z, -1)):
+                formula = (z1 + sign * z2) / 2.0
+                if halves_exact and math.isfinite(formula) and (formula == 0.0 or abs(formula) >= sys.float_info.min):
+                    assert _bits(value) == _bits(formula), payoffs
+                    checked += 1
+                exact = (Fraction(z1) + sign * Fraction(z2)) / 2
+                if halves_exact:
+                    assert value == float(exact), payoffs
+                else:  # a subnormal half may round, by at most half the smallest subnormal
+                    assert abs(Fraction(value) - exact) <= Fraction(math.ulp(value)) / 2 + Fraction(2) ** -1074, payoffs
+            assert _within_one_ulp(obs.r, _exact_radius(x, y, obs.z)), payoffs
+        assert checked > 900
+
+    def test_no_overflow_where_the_exact_value_is_finite(self):
+        # (z1 - z2) / 2 overflowed here to -inf; the exact z is -1.35e308.
+        obs = sc.GameObservable(1e308, 1e308, -1.7e308, 1e308)
+        assert obs.z == -1.35e308
+        assert obs.c == float((Fraction(-1.7e308) + Fraction(1e308)) / 2)
+        # sqrt(x^2 + y^2 + z^2) overflowed here to inf.
+        obs = sc.GameObservable(1, 1, 1e308, -1e308)
+        assert obs.r == obs.z == 1e308
+        assert obs.c == 0.0
+
+    def test_degenerate_exactly_when_r_is_zero(self):
+        assert sc.GameObservable(0.0, -0.0, 7.0, 7.0).is_degenerate()
+        tiny = [(5e-324, 0.0, 1.0, 1.0), (0.0, 2e-300, 0.0, 0.0), (0.0, 0.0, 1e-300, -1e-300), (1e-13, 0, 0, 0)]
+        for payoffs in tiny:
+            obs = sc.GameObservable(*payoffs)
+            assert obs.r > 0.0
+            assert not obs.is_degenerate()
 
     def test_ignored_by_eq_hash_and_repr(self):
         obs = sc.GameObservable(3.0, 4.0, 2.0, -2.0)
@@ -168,7 +215,67 @@ class TestStoredQuantities:
                 setattr(obs, name, 0.0)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(obs, name)
-        assert (obs.c, obs.z, obs.r) == _property_formulas(1.0, -0.5, 2.0, 0.25)
+        assert (obs.c, obs.z, obs.r) == (1.125, 0.875, math.hypot(1.0, -0.5, 0.875))
+
+
+def _scaled(obs: sc.GameObservable, k: int) -> sc.GameObservable:
+    """The observable 2^k A: every payoff times 2^k, exactly where the result is normal."""
+    return sc.GameObservable(*(math.ldexp(v, k) for v in (obs.x, obs.y, obs.z1, obs.z2)))
+
+
+def _scale_cases() -> list[tuple[int, sc.ProbabilityTriple, sc.GameObservable]]:
+    """Every k in [-1000, 1000], with a ball state and payoffs of magnitude 2^-10 to 2^10, each zero one time in eight."""
+    gen = np.random.default_rng(29)
+    states = random_ball_points(gen, 2001)
+    cases = []
+    for k, point in zip(range(-1000, 1001), states):
+        payoffs = gen.choice((-1.0, 1.0), size=4) * 2.0 ** gen.uniform(-10, 10, size=4)
+        obs = sc.GameObservable(*(0.0 if gen.random() < 0.125 else float(v) for v in payoffs))
+        if not obs.is_degenerate():
+            cases.append((k, sc.ProbabilityTriple(*point), obs))
+    return cases
+
+
+class TestTwoPointLawOverTheFloatRange:
+    """r, f and the moments follow the payoffs' scale 2^k over the float range, bit for bit where the maths allows."""
+
+    def test_radius_scales_bit_for_bit(self):
+        for k, _, obs in _scale_cases():
+            assert _bits(_scaled(obs, k).r) == _bits(math.ldexp(obs.r, k)), (k, obs)
+
+    def test_anisotropy_is_scale_free_bit_for_bit(self):
+        checked = 0
+        for k, p, obs in _scale_cases():
+            scaled = _scaled(obs, k)
+            d = (p.p1 - 0.5, p.p2 - 0.5, p.p3 - 0.5)
+            products = [u * v for u, v in zip(d, (scaled.x, scaled.y, scaled.z))]
+            if all(q == 0.0 or abs(q) >= sys.float_info.min for q in products):
+                assert _bits(sc.moments(p, scaled, 0).f) == _bits(sc.moments(p, obs, 0).f), (k, p, obs)
+                checked += 1
+        assert checked > 1500
+
+    def test_moments_scale_within_the_error_budget(self):
+        # m_n(2^k A) = 2^{kn} m_n(A): both sides are within the budget (2n + 4) U of
+        # tests/test_error_budget.py, relative to (|w+| + |w-|)(|c| + r)^n, so they
+        # differ by at most twice it. Orders whose scaled size leaves 2^+-1000 are
+        # outside the budget; pow is not correctly rounded, so this is not bit for bit.
+        unit = 2.0**-53
+        for k, p, obs in _scale_cases():
+            seq = sc.moments(p, obs, 20)
+            weight = abs(1.0 + seq.f) / 2.0 + abs(1.0 - seq.f) / 2.0
+            reach = abs(obs.c) + obs.r
+            orders = [n for n in range(21) if abs(n * (k + math.log2(reach))) <= 1000]
+            scaled = sc.moments(p, _scaled(obs, k), orders[-1]).moments
+            for n in orders:
+                difference = abs(math.ldexp(scaled[n], -k * n) - seq.moments[n])
+                assert difference <= 2 * (2 * n + 4) * unit * weight * reach**n, (k, n, p, obs)
+
+    def test_tiny_payoffs_keep_the_mean_and_the_generating_function(self):
+        # r = 2^-40 was below the old absolute degeneracy cut-off 1e-12: m_1 read 0 and G(2^40) read cosh 1.
+        p, obs = TILTED_X, sc.GameObservable(2.0**-40, 0.0, 0.0, 0.0)
+        assert sc.moments(p, obs, 1).moments[1] == sc.mean(p, obs) == 2.0**-41
+        assert sc.moments(p, obs, 1).f == 0.5
+        assert sc.generating_function(p, obs, 2.0**40) == pytest.approx(0.75 * math.e + 0.25 / math.e, rel=1e-15)
 
 
 class TestMean:
@@ -470,6 +577,39 @@ class TestOutcomeDistribution:
         # <A> - c cancels here and gave f = 1.0000000827; the exact f is 1.
         pairs = sc.outcome_distribution(PLUS_X, sc.GameObservable(1e-11, 0, 5, 5))
         assert [w for _, w in pairs] == [1.0, 0.0]
+
+    def test_refuses_a_state_exactly_where_quantum_validity_does(self):
+        # Just inside the ball test's bound radius^2 <= 1/4 + 1e-9, f = 2|d| exceeded the old bound
+        # 1 + 1e-9 on |f|, so a state that quantum_validity and overlap accept was refused.
+        a = math.sqrt((0.25 + 0.9e-9) / 2.0)
+        inside = sc.ProbabilityTriple(0.5 + a, 0.5 + a, 0.5)
+        assert sc.quantum_validity(inside).is_quantum
+        outcomes = sc.outcome_distribution(inside, sc.GameObservable(1, 1, 0, 0))
+        assert [v for v, _ in outcomes] == [math.sqrt(2), -math.sqrt(2)]
+        # A seeded sweep within 1e-8 of the bound, each with payoffs along d: f / 2 = |d|.
+        gen = np.random.default_rng(67)
+        bound, refused = 0.25 + 1e-9, 0
+        for _ in range(2000):
+            u = gen.standard_normal(3)
+            u /= np.linalg.norm(u)
+            point = 0.5 + u * math.sqrt(bound + gen.uniform(-1e-8, 1e-8))
+            if not all(0.0 <= v <= 1.0 for v in point):
+                continue
+            p = sc.ProbabilityTriple(*point.tolist())
+            d = [v - 0.5 for v in p.as_tuple()]
+            scale, c = 10.0 ** gen.uniform(-3, 3), gen.uniform(-5, 5)
+            obs = sc.GameObservable(scale * d[0], scale * d[1], c + scale * d[2], c - scale * d[2])
+            report = sc.quantum_validity(p)
+            if abs(report.radius_squared - bound) <= 1e-15:
+                continue
+            try:
+                sc.outcome_distribution(p, obs)
+            except sc.NonQuantumStateError:
+                assert not report.is_quantum, p
+                refused += 1
+            else:
+                assert report.is_quantum, p
+        assert 500 < refused < 1500
 
     def test_flags_non_quantum_state(self):
         corner = sc.ProbabilityTriple(1.0, 1.0, 1.0)
