@@ -111,14 +111,8 @@ def _cmd_render(args: argparse.Namespace) -> None:
     Path(args.out).write_bytes(svg.encode("utf-8"))
 
 
-def _at_most(value: int, bound: int, flag: str) -> int:
-    if value > bound:
-        raise ValueError(f"{flag} must be at most {bound}, got {value}")
-    return value
-
-
 def _cmd_moments(args: argparse.Namespace) -> dict[str, Any]:
-    n = _at_most(args.n, MAX_MOMENT_ORDER, "--n")
+    n = core._as_int(args.n, "--n", 0, MAX_MOMENT_ORDER)
     seq = observables.moments(_state(args.state), _observable(args.obs), n)
     return seq.to_dict()
 
@@ -148,7 +142,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
 
 def _cmd_sample(args: argparse.Namespace) -> dict[str, Any]:
     rng = _rng(args)
-    states = coinsim.sample_states(args.region, _at_most(args.count, MAX_SAMPLE_COUNT, "--count"), rng)
+    states = coinsim.sample_states(args.region, core._as_int(args.count, "--count", 1, MAX_SAMPLE_COUNT), rng)
     return {
         "region": args.region,
         "seed": rng.seed,
@@ -163,7 +157,7 @@ def _cmd_max_area(args: argparse.Namespace) -> dict[str, Any]:
 
 def _cmd_quantum_fraction(args: argparse.Namespace) -> dict[str, Any]:
     rng = _rng(args)
-    fraction = coinsim.quantum_fraction(_at_most(args.n_samples, MAX_QF_SAMPLES, "--n-samples"), rng)
+    fraction = coinsim.quantum_fraction(core._as_int(args.n_samples, "--n-samples", 1000, MAX_QF_SAMPLES), rng)
     return {
         "n_samples": args.n_samples,
         "fraction": fraction,

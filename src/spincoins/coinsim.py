@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Literal
 
 from .core import (
@@ -20,10 +20,9 @@ from .core import (
     BALL_RADIUS_SQ,
     InvalidProbabilityError,
     ProbabilityTriple,
+    _as_int,
     _dot,
     _in_ball,
-    _is_number,
-    _is_numpy,
     _show,
 )
 from .observables import GameObservable
@@ -58,14 +57,8 @@ class RngSpec:
     algorithm: ClassVar[str] = "pcg64"
 
     def __post_init__(self) -> None:
-        seed = _as_int(self.seed, "seed")
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must fit an unsigned 64-bit integer, got {seed}")
-        stream = _as_int(self.stream, "stream")
-        if stream < 0:
-            raise ValueError(f"stream must be a nonnegative integer, got {stream!r}")
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "stream", stream)
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0, 2**64 - 1))
+        object.__setattr__(self, "stream", _as_int(self.stream, "stream", 0))
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this spec's stream."""
@@ -73,19 +66,6 @@ class RngSpec:
 
         sequence = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(sequence))
-
-    def with_stream(self, stream: int) -> "RngSpec":
-        """Sibling spec drawing from an independent substream of the same seed."""
-        return replace(self, stream=stream)
-
-
-def _as_int(value: object, name: str) -> int:
-    """``value`` as a Python int: an int, numpy ones included, never a bool; else ValueError naming ``name``."""
-    if type(value) is int:  # the common case, tested first to keep the record cheap
-        return value
-    if not ((isinstance(value, int) or _is_numpy(value, "integer")) and _is_number(value)):
-        raise ValueError(f"{name} must be an integer, got {_show(value)}")
-    return int(value)
 
 
 _COUNT_NAMES = tuple(f"heads_counts[{k}]" for k in range(3))
@@ -95,29 +75,24 @@ _COUNT_NAMES = tuple(f"heads_counts[{k}]" for k in range(3))
 class TossRecord:
     """Raw outcome of tossing each coin ``n_tosses`` times.
 
-    Both fields take ints (numpy ones included, never a bool); the counts
-    are stored as a tuple of Python ints.
+    Both fields take ints (numpy ones included, never a bool): ``n_tosses``
+    at least 1 and each count from 0 to ``n_tosses``. The counts are stored
+    as a tuple of Python ints.
     """
 
     n_tosses: int
     heads_counts: tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        n = _as_int(self.n_tosses, "n_tosses")
-        if n < 1:
-            raise ValueError(f"n_tosses must be at least 1, got {n}")
+        n = _as_int(self.n_tosses, "n_tosses", 1)
         try:
             counts = tuple(self.heads_counts)
         except TypeError:  # not iterable
             raise ValueError(f"heads_counts must hold exactly three counts, got {_show(self.heads_counts)}") from None
         if len(counts) != 3:
             raise ValueError("heads_counts must hold exactly three counts")
-        counts = tuple(map(_as_int, counts, _COUNT_NAMES))
-        for k, count in enumerate(counts):
-            if not 0 <= count <= n:
-                raise ValueError(f"heads_counts[{k}]={count} outside [0, {n}]")
         object.__setattr__(self, "n_tosses", n)
-        object.__setattr__(self, "heads_counts", counts)
+        object.__setattr__(self, "heads_counts", tuple(map(_as_int, counts, _COUNT_NAMES, (0, 0, 0), (n, n, n))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,11 +128,7 @@ def toss(p: ProbabilityTriple, n: int, rng: RngSpec) -> TossRecord:
     (p1, p2, p3); fixing the spec fixes the record exactly. ``n`` is an int
     (numpy ones included, never a bool) from 1 to :data:`MAX_TOSSES`.
     """
-    n = _as_int(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if n > MAX_TOSSES:
-        raise ValueError(f"n must be at most 2**63 - 1, got {n}")
+    n = _as_int(n, "n", 1, MAX_TOSSES)
     # three scalar draws in coin order give the counts of one array draw, as Python ints
     binomial = rng.generator().binomial
     return TossRecord(n_tosses=n, heads_counts=(binomial(n, p.p1), binomial(n, p.p2), binomial(n, p.p3)))
@@ -216,8 +187,7 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
     """
     import numpy as np
 
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    count = _as_int(count, "count", 1)
     gen = rng.generator()
     blocks, held = [], 0
     while held < count:
@@ -254,8 +224,7 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
     """
     import numpy as np
 
-    if n_samples < 1000:
-        raise ValueError(f"n_samples must be at least 1000, got {n_samples}")
+    n_samples = _as_int(n_samples, "n_samples", 1000)
     workers = max(1, min(_usable_cpus(), n_samples // _BLOCK_ROWS, _MAX_WORKERS))
     bounds = [n_samples * k // workers for k in range(workers + 1)]
     block = _BLOCK_ROWS // workers

@@ -104,7 +104,7 @@ def _show(value: Any) -> str:
         return f"<{type(value).__name__} too long to print>"
 
 
-def _as_float(value: Any, name: str, kind: type[CoinStateError], domain: str) -> float:
+def _as_float(value: Any, name: str, kind: type[ValueError], domain: str) -> float:
     """The one conversion of an input number: ``value`` as a float, or ``kind`` naming the field ``name``."""
     if not _is_number(value):
         raise kind(f"field {name!r} must be a number, got {_show(value)}")
@@ -112,6 +112,22 @@ def _as_float(value: Any, name: str, kind: type[CoinStateError], domain: str) ->
         return float(value)
     except OverflowError:  # an int past the float range
         raise kind(f"field {name!r} is too large a number to be {domain}") from None
+
+
+def _as_int(value: Any, name: str, low: int, high: int | None = None) -> int:
+    """The one integer check, of every count, seed and order: ``value`` as a Python int in [low, high].
+
+    An int, numpy ones included, never a bool, ``np.bool_``, ``timedelta64`` or float; else ValueError naming ``name``.
+    """
+    if type(value) is not int:  # the common case skips the type tests, to keep the records cheap
+        if not ((isinstance(value, int) or _is_numpy(value, "integer")) and _is_number(value)):
+            raise ValueError(f"{name} must be an integer, got {_show(value)}")
+        value = int(value)
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {_show(value)}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {_show(value)}")
+    return value
 
 
 def _coerce_fields(

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from .core import (
-    CoinStateError, NonQuantumStateError, ProbabilityTriple, _coerce_fields, _dot, _in_ball, _offset, _payload_fields
+    CoinStateError, NonQuantumStateError, ProbabilityTriple,
+    _as_float, _as_int, _coerce_fields, _dot, _in_ball, _offset, _payload_fields,
 )
 
 if TYPE_CHECKING:
@@ -126,10 +127,10 @@ def mean(p: ProbabilityTriple, obs: GameObservable) -> float:
 def _two_point_law(p: ProbabilityTriple, obs: GameObservable) -> tuple[float, float, float]:
     """Anisotropy f = (<A> - c) / r (0 if r = 0) and the weights (1 + f) / 2, (1 - f) / 2 of c + r, c - r.
 
-    f is computed as 2 d . (x, y, z) / r with d = p - 1/2, free of the
-    cancellation in <A> - c that can push |f| of a pure state past 1.
+    f is computed as 2 (d . (x, y, z) / r) with d = p - 1/2: free of the cancellation in <A> - c that can
+    push |f| of a pure state past 1, and finite wherever f is, as the quotient is taken before the doubling.
     """
-    f = 0.0 if obs.is_degenerate() else 2.0 * _dot(_offset(p), (obs.x, obs.y, obs.z)) / obs.r
+    f = 0.0 if obs.is_degenerate() else 2.0 * (_dot(_offset(p), (obs.x, obs.y, obs.z)) / obs.r)
     return f, (1.0 + f) / 2.0, (1.0 - f) / 2.0
 
 
@@ -144,6 +145,7 @@ def generating_function(p: ProbabilityTriple, obs: GameObservable, lam: float) -
     From the two-point law, G(lam) = w+ exp(lam (c + r)) + w- exp(lam (c - r));
     for degenerate observables (r = 0) this collapses to exp(lam c).
     """
+    lam = _as_float(lam, "lam", ValueError, "finite")
     if not math.isfinite(lam):
         raise ValueError(f"lam={lam!r} is not finite")
     _, w_plus, w_minus = _two_point_law(p, obs)
@@ -159,8 +161,7 @@ def moments(p: ProbabilityTriple, obs: GameObservable, n_max: int) -> MomentSequ
     Every moment depends on the state only through the mean, and each is
     accurate at every order; a power beyond the float range raises OverflowError.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    n_max = _as_int(n_max, "n_max", 0)
     f, w_plus, w_minus = _two_point_law(p, obs)
     c, r = obs.c, obs.r
     # A zero weight's power may overflow and is never taken: a base of +-1 gives the same signed zero term.

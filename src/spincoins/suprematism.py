@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .core import BALL_CENTER, ProbabilityTriple, _dot, _offset
+from .core import BALL_CENTER, ProbabilityTriple, _as_float, _dot, _offset
 
 Region = Literal["cube", "ball"]
 
@@ -131,6 +131,7 @@ def render_triad_svg(triad: MalevichTriad, *, scale: float = 100.0) -> str:
     canvas whose size must be finite. Every coordinate has four fixed
     decimals, so output bytes are deterministic for a fixed triad and scale.
     """
+    scale = _as_float(scale, "scale", ValueError, f"at most {MAX_SCALE:g} px per unit")
     pad = _SVG_PAD * scale
     gap = _SVG_GAP * scale
     sides_px = [side * scale for side in triad.sides]

@@ -200,7 +200,7 @@ def test_criterion_08_monte_carlo():
             + (2.0 * obs.y) ** 2 * p.p2 * (1.0 - p.p2)
             + (obs.z1 - obs.z2) ** 2 * p.p3 * (1.0 - p.p3)
         ) / n
-        record = sc.toss(p, n, sc.RngSpec(seed=MC_SEED).with_stream(index))
+        record = sc.toss(p, n, sc.RngSpec(MC_SEED, stream=index))
         deviation = abs(sc.estimate(record, obs).mean_total - exact)
         bound = 3.0 * math.sqrt(variance)
         mean_ok = mean_ok and deviation <= bound

@@ -210,11 +210,25 @@ class TestExitCodes:
         assert out == ""
         assert capsys.readouterr().err.startswith("error: --n must be at most")
 
+    def test_moments_stay_finite_where_twice_the_dot_product_overflows(self, capsys):
+        # f = 2 (d.(x, y, z) / r) is finite, so m_0 is 1; the exact m_1 = 1.8e308 does overflow.
+        state, obs = '{"p1": 1, "p2": 0.9, "p3": 0.5}', '{"x": 1e308, "y": 1e308, "z1": 0, "z2": 0}'
+        code, out = run_cli(["moments", "--n", "0", "--state", state, "--obs", obs])
+        assert code == 0
+        assert json.loads(out)["moments"] == [1.0]
+        code, out = run_cli(["genfun", "--lam", "0", "--state", state, "--obs", obs])
+        assert code == 0
+        assert json.loads(out)["value"] == 1.0
+        code, out = run_cli(["moments", "--n", "1", "--state", state, "--obs", obs])
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err.endswith(": inf\n")
+
     def test_domain_error_tosses_beyond_a_c_long(self, capsys):
         code, out = run_cli(["simulate", "--state", STATE_MIXED, "--obs", OBS_SIGMA_X, "--n-tosses", str(10**23)])
         assert code == 1
         assert out == ""
-        assert capsys.readouterr().err.startswith("error: n must be at most 2**63 - 1")
+        assert capsys.readouterr().err == f"error: n must be at most {2**63 - 1}, got {10**23}\n"
 
     def test_domain_error_quantum_fraction_samples_above_bound(self, capsys):
         code, out = run_cli(["quantum-fraction", "--n-samples", str(MAX_QF_SAMPLES + 1)])

@@ -28,8 +28,7 @@ class TestRngSpec:
 
     def test_streams_are_independent(self):
         p = sc.ProbabilityTriple(0.5, 0.5, 0.5)
-        base = sc.RngSpec(seed=123)
-        assert sc.toss(p, 1000, base) != sc.toss(p, 1000, base.with_stream(1))
+        assert sc.toss(p, 1000, sc.RngSpec(123)) != sc.toss(p, 1000, sc.RngSpec(123, stream=1))
 
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(TypeError, match="algorithm"):
@@ -53,7 +52,7 @@ class TestRngSpec:
         spec = sc.RngSpec(seed, stream)
         assert spec == sc.RngSpec(int(seed), int(stream))
         assert type(spec.seed) is int and type(spec.stream) is int
-        assert type(spec.with_stream(np.int16(2)).stream) is int
+        assert type(sc.RngSpec(spec.seed, stream=np.int16(2)).stream) is int
         assert spec.generator().random() == sc.RngSpec(int(seed), int(stream)).generator().random()
 
     @pytest.mark.parametrize(
@@ -62,11 +61,11 @@ class TestRngSpec:
             (np.True_, 0, f"seed must be an integer, got {np.True_!r}"),
             (np.float64(5.0), 0, f"seed must be an integer, got {np.float64(5.0)!r}"),
             (np.timedelta64(5), 0, f"seed must be an integer, got {np.timedelta64(5)!r}"),
-            (np.int64(-1), 0, "seed must fit an unsigned 64-bit integer, got -1"),
+            (np.int64(-1), 0, "seed must be at least 0, got -1"),
             (1, np.True_, f"stream must be an integer, got {np.True_!r}"),
             (1, True, "stream must be an integer, got True"),
             (1, 1.5, "stream must be an integer, got 1.5"),
-            (1, np.int64(-2), "stream must be a nonnegative integer, got -2"),
+            (1, np.int64(-2), "stream must be at least 0, got -2"),
         ],
         ids=["np-bool-seed", "np-float-seed", "timedelta-seed", "np-negative-seed",
              "np-bool-stream", "bool-stream", "float-stream", "np-negative-stream"],
@@ -110,7 +109,7 @@ class TestToss:
             sc.toss(sc.ProbabilityTriple(0.5, 0.5, 0.5), 0, sc.RngSpec(seed=0))
 
     def test_rejects_counts_beyond_a_c_long(self):
-        with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1"):
+        with pytest.raises(ValueError, match=r"^n must be at most 9223372036854775807, got 9223372036854775808$"):
             sc.toss(sc.ProbabilityTriple(0.5, 0.5, 0.5), 2**63, sc.RngSpec(seed=0))
 
     def test_record_validates_counts(self):
@@ -122,8 +121,8 @@ class TestToss:
         [
             (0, (0, 0, 0), "n_tosses must be at least 1, got 0"),
             (5, (1, 2), "heads_counts must hold exactly three counts"),
-            (5, (1, 2, 6), r"heads_counts\[2\]=6 outside \[0, 5\]"),
-            (5, (-1, 0, 0), r"heads_counts\[0\]=-1 outside \[0, 5\]"),
+            (5, (1, 2, 6), r"heads_counts\[2\] must be at most 5, got 6"),
+            (5, (-1, 0, 0), r"heads_counts\[0\] must be at least 0, got -1"),
             (2.5, (1, 2, 2), "n_tosses must be an integer, got 2.5"),
             (True, (1, 0, 1), "n_tosses must be an integer, got True"),
             (np.bool_(True), (1, 0, 1), r"n_tosses must be an integer, got np.True_"),

@@ -277,6 +277,14 @@ class TestTwoPointLawOverTheFloatRange:
         assert sc.moments(p, obs, 1).f == 0.5
         assert sc.generating_function(p, obs, 2.0**40) == pytest.approx(0.75 * math.e + 0.25 / math.e, rel=1e-15)
 
+    def test_anisotropy_stays_finite_where_twice_the_dot_product_overflows(self):
+        # 2 d.(x, y, z) = 1.8e308 overflows; d.(x, y, z) / r does not, so m_0 and G(0) stay 1 (they read NaN).
+        p, obs = sc.ProbabilityTriple(1.0, 0.9, 0.5), sc.GameObservable(1e308, 1e308, 0.0, 0.0)
+        seq = sc.moments(p, obs, 0)
+        assert seq.f == pytest.approx(0.9 * math.sqrt(2.0), rel=1e-15)
+        assert seq.moments == (1.0,)
+        assert sc.generating_function(p, obs, 0.0) == 1.0
+
 
 class TestMean:
     def test_spin_up_eigenstate_of_sigma_z(self):
@@ -361,6 +369,24 @@ class TestGeneratingFunction:
     def test_rejects_non_finite_lambda(self):
         with pytest.raises(ValueError, match="lam"):
             sc.generating_function(MIXED, SIGMA_Z_GAME, math.nan)
+
+    @pytest.mark.parametrize(
+        "lam, message",
+        [
+            (True, "field 'lam' must be a number, got True"),
+            ("1", "field 'lam' must be a number, got '1'"),
+            (10**400, "field 'lam' is too large a number to be finite"),
+        ],
+        ids=["bool", "string", "huge-int"],
+    )
+    def test_lambda_takes_the_value_types_number_test(self, lam, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sc.generating_function(TILTED_X, SIGMA_X_GAME, lam)
+
+    def test_int_and_numpy_lambdas_are_used_as_floats(self):
+        for lam in (1, np.float64(1.0), np.int32(1)):
+            value = sc.generating_function(TILTED_X, SIGMA_X_GAME, lam)
+            assert type(value) is float and value == sc.generating_function(TILTED_X, SIGMA_X_GAME, 1.0)
 
 
 class TestMoments:

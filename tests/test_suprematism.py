@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -201,3 +202,21 @@ class TestRenderTriadSvg:
         triad = sc.side_lengths(sc.ProbabilityTriple(0.5, 0.5, 0.5))
         with pytest.raises(ValueError, match="scale"):
             sc.render_triad_svg(triad, scale=0.0)
+
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            (True, "field 'scale' must be a number, got True"),
+            ("100", "field 'scale' must be a number, got '100'"),
+            (10**400, "field 'scale' is too large a number to be at most 100000 px per unit"),
+        ],
+        ids=["bool", "string", "huge-int"],
+    )
+    def test_scale_takes_the_value_types_number_test(self, scale, message):
+        triad = sc.side_lengths(sc.ProbabilityTriple(0.5, 0.5, 0.5))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sc.render_triad_svg(triad, scale=scale)
+
+    def test_an_int_scale_draws_as_its_float(self):
+        triad = sc.side_lengths(sc.ProbabilityTriple(0.3, 0.7, 0.2))
+        assert sc.render_triad_svg(triad, scale=200) == sc.render_triad_svg(triad, scale=200.0)

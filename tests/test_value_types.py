@@ -167,25 +167,48 @@ def test_float_fields_accept_refuse_and_store_as_before(type_name, given):
                 cls(*args)
 
 
-TOSS_RECORD_ERRORS = {
+# The integer arguments: the name each one's messages use, a call that passes
+# it, and the range [low, high] it accepts (high None: no upper bound).
+_SPEC = sc.RngSpec(0)
+INTEGER_ARGUMENTS = (
+    ("n_tosses", lambda value: sc.TossRecord(value, (0, 0, 0)), 1, None),
+    ("heads_counts[0]", lambda value: sc.TossRecord(5, (value, 0, 0)), 0, 5),
+    ("seed", lambda value: sc.RngSpec(value), 0, 2**64 - 1),
+    ("stream", lambda value: sc.RngSpec(0, value), 0, None),
+    ("n", lambda value: sc.toss(_P, value, _SPEC), 1, 2**63 - 1),
+    ("count", lambda value: sc.sample_states("cube", value, _SPEC), 1, None),
+    ("n_samples", lambda value: sc.quantum_fraction(value, _SPEC), 1000, None),
+    ("n_max", lambda value: sc.moments(_P, _OBS, value), 0, None),
+)
+# Inputs that every integer argument refuses, with the exact message each gets.
+NON_INTEGER_ERRORS = {
     "float-subclass": "must be an integer, got 0.25",
     "numpy-float64": "must be an integer, got np.float64(0.25)",
     "bool": "must be an integer, got True",
     "negative-zero": "must be an integer, got -0.0",
     "nan": "must be an integer, got nan",
+    "numpy-bool": "must be an integer, got np.True_",
+    "timedelta64": "must be an integer, got np.timedelta64(1)",
+    "string": "must be an integer, got '1'",
 }
+NON_INTEGERS = {**FIELD_INPUTS, "numpy-bool": np.True_, "timedelta64": np.timedelta64(1), "string": "1"}
 
 
-@pytest.mark.parametrize("given", sorted(FIELD_INPUTS))
+@pytest.mark.parametrize("given", sorted([*NON_INTEGER_ERRORS, "int", "numpy-int64", "below-range", "above-range"]))
 def test_toss_record_accepts_and_refuses_as_before(given):
-    value = FIELD_INPUTS[given]
-    for name, build in (
-        ("n_tosses", lambda: sc.TossRecord(value, (0, 0, 0))),
-        ("heads_counts[0]", lambda: sc.TossRecord(5, (value, 0, 0))),
-    ):
-        if given == "int":
-            record = build()
-            assert type(record.n_tosses) is int and all(type(count) is int for count in record.heads_counts)
+    """Every count, seed and order goes through one integer check, with the same three messages."""
+    for name, build, low, high in INTEGER_ARGUMENTS:
+        if given in ("int", "numpy-int64"):
+            # a numpy int is used as the Python int: the results match, repr included
+            assert repr(build(np.int64(low) if given == "numpy-int64" else low)) == repr(build(low)), name
+            continue
+        if given == "below-range":
+            value, message = low - 1, f"must be at least {low}, got {low - 1}"
+        elif given == "above-range":
+            if high is None:
+                continue
+            value, message = high + 1, f"must be at most {high}, got {high + 1}"
         else:
-            with pytest.raises(ValueError, match=f"^{re.escape(name)} {re.escape(TOSS_RECORD_ERRORS[given])}$"):
-                build()
+            value, message = NON_INTEGERS[given], NON_INTEGER_ERRORS[given]
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} {re.escape(message)}$"):
+            build(value)
