@@ -8,17 +8,16 @@ is strict JSON, never NaN or Infinity, and stays empty on an error.
 Output is byte deterministic for identical argv and seed; the default
 seed can be overridden with the ``SPINCOINS_SEED`` environment variable.
 
-Flags that size the work have upper bounds, and a larger value exits 1:
-``sample --count`` at most ``MAX_SAMPLE_COUNT``, ``moments --n`` at most
-``MAX_MOMENT_ORDER``, ``quantum-fraction --n-samples`` at most
-``MAX_QF_SAMPLES``, ``render --scale`` at most ``suprematism.MAX_SCALE``
-and ``simulate --n-tosses`` at most ``coinsim.MAX_TOSSES``. Running out of
-memory also exits 1, with an ``error:`` line and no traceback.
+Each subcommand is one row of ``_SUBCOMMANDS``, which holds the range of
+each integer flag; a value outside it exits 1 and names the flag, or
+``SPINCOINS_SEED``. Running out of memory also exits 1, with an
+``error:`` line and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -38,16 +37,6 @@ MAX_QF_SAMPLES = 10**9
 
 class UsageError(Exception):
     """Malformed invocation or unparseable payload; maps to exit code 2."""
-
-
-def _rng(args: argparse.Namespace) -> coinsim.RngSpec:
-    """The spec for ``--seed``, else for ``$SPINCOINS_SEED``, else for ``DEFAULT_SEED``."""
-    raw = os.environ.get(SEED_ENV_VAR, DEFAULT_SEED) if args.seed is None else args.seed
-    try:
-        seed = int(raw)
-    except ValueError:  # only the environment variable can hold a non-integer
-        raise UsageError(f"{SEED_ENV_VAR}={raw!r} is not an integer seed") from None
-    return coinsim.RngSpec(seed=seed)
 
 
 def _json_argument(raw: str, field: str) -> Any:
@@ -72,107 +61,128 @@ def _json_argument(raw: str, field: str) -> Any:
         raise UsageError(f"{field}: unreadable JSON ({exc})") from None
 
 
-def _state(raw: str, field: str = "state") -> core.ProbabilityTriple:
-    return core.ProbabilityTriple.from_dict(_json_argument(raw, field))
+def _render(state: core.ProbabilityTriple, out: str, scale: float) -> None:
+    svg = suprematism.render_triad_svg(suprematism.side_lengths(state), scale=scale)
+    Path(out).write_bytes(svg.encode("utf-8"))
 
 
-def _observable(raw: str, field: str = "obs") -> observables.GameObservable:
-    return observables.GameObservable.from_dict(_json_argument(raw, field))
+def _simulate(state: core.ProbabilityTriple, obs: observables.GameObservable, rng: coinsim.RngSpec, n: int) -> dict:
+    record = coinsim.toss(state, n, rng)
+    return {"n_tosses": record.n_tosses, "heads_counts": list(record.heads_counts),
+            **coinsim.estimate(record, obs).to_dict(), "seed": rng.seed, "algorithm": rng.algorithm}
 
 
-def _cmd_validate(args: argparse.Namespace) -> dict[str, Any]:
-    report = core.quantum_validity(_state(args.state))
-    return report.to_dict()
+_STATE, _OBS = core.ProbabilityTriple, observables.GameObservable
+_STATE_HELP, _OBS_HELP = "state JSON or file path", "payoffs JSON or file path"
+_SEED = ("--seed", range(coinsim.MAX_SEED + 1), f"RNG seed (default: ${SEED_ENV_VAR} if set, else {DEFAULT_SEED})", None)
+
+# The one description of each subcommand: name -> (help, arguments, compute). An argument is
+# (name, kind, help[, default]); a flag without a default is required. Its kind is a payload
+# class (read through from_dict), float, str, a tuple of choices, or the range of an integer.
+# run checks the arguments in the order listed and passes their values, in that order, to
+# compute, which returns the JSON payload, or None to print nothing.
+_SUBCOMMANDS: dict[str, tuple[str, list[tuple], Callable[..., dict | None]]] = {
+    "validate": (
+        "quantum-admissibility report for a state",
+        [("state", _STATE, 'state JSON {"p1":..,"p2":..,"p3":..} or a file path')],
+        lambda state: core.quantum_validity(state).to_dict(),
+    ),
+    "to-density": (
+        "map a state to its density matrix",
+        [("state", _STATE, _STATE_HELP)],
+        lambda state: core.probs_to_density(state).to_dict(),
+    ),
+    "to-probs": (
+        "map a density matrix back to a state",
+        [("matrix", core.DensityMatrix, 'matrix JSON {"m":[[re,im],...]} or a file path')],
+        lambda rho: core.density_to_probs(rho).to_dict(),
+    ),
+    "overlap": (
+        "overlap Tr(rho_p rho_q) of two states",
+        [("state_p", _STATE, "first state JSON or file path"), ("state_q", _STATE, "second state JSON or file path")],
+        lambda p, q: {"overlap": core.overlap(p, q)},
+    ),
+    "area": (
+        "Malevich triad side lengths and summed area",
+        [("state", _STATE, _STATE_HELP)],
+        lambda state: dataclasses.asdict(suprematism.side_lengths(state)),
+    ),
+    "render": (
+        "render the Malevich triad to an SVG file",
+        [
+            ("state", _STATE, _STATE_HELP),
+            ("--out", str, "output SVG path"),
+            ("--scale", float, f"pixels per unit side length (at most {suprematism.MAX_SCALE:g})", 100.0),
+        ],
+        _render,
+    ),
+    "moments": (
+        "observable moments m_0..m_N from the two-point law",
+        [
+            ("--n", range(MAX_MOMENT_ORDER + 1), f"highest moment order N (at most {MAX_MOMENT_ORDER})"),
+            ("--state", _STATE, _STATE_HELP),
+            ("--obs", _OBS, 'payoffs JSON {"x":..,"y":..,"z1":..,"z2":..}'),
+        ],
+        lambda n, state, obs: observables.moments(state, obs, n).to_dict(),
+    ),
+    "genfun": (
+        "moment generating function at one point",
+        [("--state", _STATE, _STATE_HELP), ("--obs", _OBS, _OBS_HELP), ("--lam", float, "evaluation point lambda")],
+        lambda state, obs, lam: {"lambda": lam, "value": observables.generating_function(state, obs, lam)},
+    ),
+    "simulate": (
+        "toss the coins and estimate payoff statistics",
+        [
+            ("--state", _STATE, _STATE_HELP),
+            ("--obs", _OBS, _OBS_HELP),
+            _SEED,
+            ("--n-tosses", range(1, coinsim.MAX_TOSSES + 1), "tosses per coin (at most 2**63 - 1)"),
+        ],
+        _simulate,
+    ),
+    "sample": (
+        "draw random states from a region",
+        [
+            ("--region", ("cube", "ball", "sphere"), None),
+            _SEED,
+            ("--count", range(1, MAX_SAMPLE_COUNT + 1), f"number of states to draw (at most {MAX_SAMPLE_COUNT})", 1),
+        ],
+        lambda region, rng, count: {"region": region, "seed": rng.seed, "algorithm": rng.algorithm,
+                                    "states": [s.to_dict() for s in coinsim.sample_states(region, count, rng)]},
+    ),
+    "max-area": (
+        "exact maximum of the summed square area over a region",
+        [("--region", ("cube", "ball"), None)],
+        lambda region: suprematism.maximize_area(region).to_dict(),
+    ),
+    "quantum-fraction": (
+        "Monte Carlo ball/cube volume ratio",
+        [_SEED, ("--n-samples", range(1000, MAX_QF_SAMPLES + 1), f"cube samples (at least 1000, at most {MAX_QF_SAMPLES})")],
+        lambda rng, n: {"n_samples": n, "fraction": coinsim.quantum_fraction(n, rng),
+                        "seed": rng.seed, "algorithm": rng.algorithm},
+    ),
+}
 
 
-def _cmd_to_density(args: argparse.Namespace) -> dict[str, Any]:
-    return core.probs_to_density(_state(args.state)).to_dict()
+def _checked(args: argparse.Namespace, name: str, kind: Any) -> Any:
+    """An argument's value as compute takes it: a payload loaded, an integer in its range, ``--seed`` an RngSpec.
 
-
-def _cmd_to_probs(args: argparse.Namespace) -> dict[str, Any]:
-    rho = core.DensityMatrix.from_dict(_json_argument(args.matrix, "matrix"))
-    return core.density_to_probs(rho).to_dict()
-
-
-def _cmd_overlap(args: argparse.Namespace) -> dict[str, Any]:
-    p = _state(args.state_p, "state_p")
-    q = _state(args.state_q, "state_q")
-    return {"overlap": core.overlap(p, q)}
-
-
-def _cmd_area(args: argparse.Namespace) -> dict[str, Any]:
-    triad = suprematism.side_lengths(_state(args.state))
-    return {"sides": list(triad.sides), "area_sum": triad.area_sum}
-
-
-def _cmd_render(args: argparse.Namespace) -> None:
-    triad = suprematism.side_lengths(_state(args.state))
-    svg = suprematism.render_triad_svg(triad, scale=args.scale)
-    Path(args.out).write_bytes(svg.encode("utf-8"))
-
-
-def _cmd_moments(args: argparse.Namespace) -> dict[str, Any]:
-    n = core._as_int(args.n, "--n", 0, MAX_MOMENT_ORDER)
-    seq = observables.moments(_state(args.state), _observable(args.obs), n)
-    return seq.to_dict()
-
-
-def _cmd_genfun(args: argparse.Namespace) -> dict[str, Any]:
-    value = observables.generating_function(
-        _state(args.state), _observable(args.obs), args.lam
-    )
-    return {"lambda": args.lam, "value": value}
-
-
-def _cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
-    state = _state(args.state)
-    obs = _observable(args.obs)
-    rng = _rng(args)
-    record = coinsim.toss(state, args.n_tosses, rng)
-    stats = coinsim.estimate(record, obs)
-    payload: dict[str, Any] = {
-        "n_tosses": record.n_tosses,
-        "heads_counts": list(record.heads_counts),
-    }
-    payload.update(stats.to_dict())
-    payload["seed"] = rng.seed
-    payload["algorithm"] = rng.algorithm
-    return payload
-
-
-def _cmd_sample(args: argparse.Namespace) -> dict[str, Any]:
-    rng = _rng(args)
-    states = coinsim.sample_states(args.region, core._as_int(args.count, "--count", 1, MAX_SAMPLE_COUNT), rng)
-    return {
-        "region": args.region,
-        "seed": rng.seed,
-        "algorithm": rng.algorithm,
-        "states": [s.to_dict() for s in states],
-    }
-
-
-def _cmd_max_area(args: argparse.Namespace) -> dict[str, Any]:
-    return suprematism.maximize_area(args.region).to_dict()
-
-
-def _cmd_quantum_fraction(args: argparse.Namespace) -> dict[str, Any]:
-    rng = _rng(args)
-    fraction = coinsim.quantum_fraction(core._as_int(args.n_samples, "--n-samples", 1000, MAX_QF_SAMPLES), rng)
-    return {
-        "n_samples": args.n_samples,
-        "fraction": fraction,
-        "seed": rng.seed,
-        "algorithm": rng.algorithm,
-    }
-
-
-def _add_seed_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=f"RNG seed (default: ${SEED_ENV_VAR} if set, else {DEFAULT_SEED})",
-    )
+    Payloads are loaded here, after parse_args, never through an argparse
+    ``type=``, which would turn an invalid probability into exit 2.
+    """
+    value = getattr(args, dest := name.lstrip("-").replace("-", "_"))
+    if hasattr(kind, "from_dict"):
+        return kind.from_dict(_json_argument(value, dest))
+    if not isinstance(kind, range):
+        return value  # a float, str or choice, which parse_args has checked
+    if value is None:  # only --seed has no default: $SPINCOINS_SEED stands in for it, and DEFAULT_SEED for both
+        name, raw = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
+        try:
+            value = int(raw)
+        except ValueError:  # only the environment variable can hold a non-integer
+            raise UsageError(f"{SEED_ENV_VAR}={raw!r} is not an integer seed") from None
+    value = core._as_int(value, name, kind[0], kind[-1])
+    return coinsim.RngSpec(value) if dest == "seed" else value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,63 +191,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Three-coin probability representation of single-qubit states.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-
-    def add(name: str, handler: Callable[[argparse.Namespace], Any], help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("validate", _cmd_validate, "quantum-admissibility report for a state")
-    p.add_argument("state", help='state JSON {"p1":..,"p2":..,"p3":..} or a file path')
-
-    p = add("to-density", _cmd_to_density, "map a state to its density matrix")
-    p.add_argument("state", help="state JSON or file path")
-
-    p = add("to-probs", _cmd_to_probs, "map a density matrix back to a state")
-    p.add_argument("matrix", help='matrix JSON {"m":[[re,im],...]} or a file path')
-
-    p = add("overlap", _cmd_overlap, "overlap Tr(rho_p rho_q) of two states")
-    p.add_argument("state_p", help="first state JSON or file path")
-    p.add_argument("state_q", help="second state JSON or file path")
-
-    p = add("area", _cmd_area, "Malevich triad side lengths and summed area")
-    p.add_argument("state", help="state JSON or file path")
-
-    p = add("render", _cmd_render, "render the Malevich triad to an SVG file")
-    p.add_argument("state", help="state JSON or file path")
-    p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument(
-        "--scale", type=float, default=100.0, help=f"pixels per unit side length (at most {suprematism.MAX_SCALE:g})"
-    )
-
-    p = add("moments", _cmd_moments, "observable moments m_0..m_N from the two-point law")
-    p.add_argument("--state", required=True, help="state JSON or file path")
-    p.add_argument("--obs", required=True, help='payoffs JSON {"x":..,"y":..,"z1":..,"z2":..}')
-    p.add_argument("--n", type=int, required=True, help=f"highest moment order N (at most {MAX_MOMENT_ORDER})")
-
-    p = add("genfun", _cmd_genfun, "moment generating function at one point")
-    p.add_argument("--state", required=True, help="state JSON or file path")
-    p.add_argument("--obs", required=True, help="payoffs JSON or file path")
-    p.add_argument("--lam", type=float, required=True, help="evaluation point lambda")
-
-    p = add("simulate", _cmd_simulate, "toss the coins and estimate payoff statistics")
-    p.add_argument("--state", required=True, help="state JSON or file path")
-    p.add_argument("--obs", required=True, help="payoffs JSON or file path")
-    p.add_argument("--n-tosses", type=int, required=True, help="tosses per coin (at most 2**63 - 1)")
-    _add_seed_option(p)
-
-    p = add("sample", _cmd_sample, "draw random states from a region")
-    p.add_argument("--region", choices=("cube", "ball", "sphere"), required=True)
-    p.add_argument("--count", type=int, default=1, help=f"number of states to draw (at most {MAX_SAMPLE_COUNT})")
-    _add_seed_option(p)
-
-    p = add("max-area", _cmd_max_area, "exact maximum of the summed square area over a region")
-    p.add_argument("--region", choices=("cube", "ball"), required=True)
-
-    p = add("quantum-fraction", _cmd_quantum_fraction, "Monte Carlo ball/cube volume ratio")
-    p.add_argument("--n-samples", type=int, required=True, help=f"cube samples (at least 1000, at most {MAX_QF_SAMPLES})")
-    _add_seed_option(p)
-
+    for command, (help_text, arguments, _compute) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        # Added in the order --help and usage lines have always shown: integer flags after the rest, --seed last
+        for name, kind, help_text, *default in sorted(arguments, key=lambda a: isinstance(a[1], range) + (a[0] == "--seed")):
+            options = {"required": not default, "default": default[0] if default else None} if name.startswith("--") else {}
+            p.add_argument(
+                name, help=help_text, **options, choices=kind if isinstance(kind, tuple) else None,
+                type=int if isinstance(kind, range) else kind if kind in (float, str) else None,
+            )
     return parser
 
 
@@ -249,8 +211,9 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    _help, arguments, compute = _SUBCOMMANDS[args.command]
     try:
-        payload = args.handler(args)
+        payload = compute(*[_checked(args, name, kind) for name, kind, *_ in arguments])
         text = None if payload is None else json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -34,6 +34,8 @@ SampleRegion = Literal["cube", "ball", "sphere"]
 
 # Most tosses per coin: numpy's binomial takes the count as a C long.
 MAX_TOSSES = 2**63 - 1
+# Largest seed a spec takes: one unsigned 64-bit word.
+MAX_SEED = 2**64 - 1
 # Rows per array draw; bounds the samplers' temporaries at a few MB.
 _BLOCK_ROWS = 2**16
 # Most threads quantum_fraction splits its stream over; keeps each thread's
@@ -57,7 +59,7 @@ class RngSpec:
     algorithm: ClassVar[str] = "pcg64"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0, 2**64 - 1))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0, MAX_SEED))
         object.__setattr__(self, "stream", _as_int(self.stream, "stream", 0))
 
     def generator(self) -> np.random.Generator:

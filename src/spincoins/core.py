@@ -211,9 +211,6 @@ class BlochVector:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x1, self.x2, self.x3)
 
-    def to_dict(self) -> dict[str, float]:
-        return {"x1": self.x1, "x2": self.x2, "x3": self.x3}
-
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "BlochVector":
         return cls(*_payload_fields(payload, ("x1", "x2", "x3"), InvalidBlochVectorError))

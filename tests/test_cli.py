@@ -14,7 +14,7 @@ from jsonschema import Draft202012Validator
 
 from golden_cases import JSON_CASES, SVG_CASES, STATE_MIXED, STATE_TILTED, OBS_SIGMA_X, OBS_SIGMA_Z
 from spincoins import coinsim
-from spincoins.cli import DEFAULT_SEED, MAX_MOMENT_ORDER, MAX_QF_SAMPLES, MAX_SAMPLE_COUNT, SEED_ENV_VAR, run
+from spincoins.cli import _SUBCOMMANDS, DEFAULT_SEED, SEED_ENV_VAR, run
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "cli_payloads.schema.json"
@@ -198,18 +198,6 @@ class TestExitCodes:
         assert not out_path.exists()
         assert "at most 100000 px per unit" in capsys.readouterr().err
 
-    def test_domain_error_sample_count_above_bound(self, capsys):
-        code, out = run_cli(["sample", "--region", "cube", "--count", str(MAX_SAMPLE_COUNT + 1)])
-        assert code == 1
-        assert out == ""
-        assert capsys.readouterr().err.startswith("error: --count must be at most")
-
-    def test_domain_error_moment_order_above_bound(self, capsys):
-        code, out = run_cli(["moments", "--n", str(MAX_MOMENT_ORDER + 1), "--state", STATE_MIXED, "--obs", OBS_SIGMA_X])
-        assert code == 1
-        assert out == ""
-        assert capsys.readouterr().err.startswith("error: --n must be at most")
-
     def test_moments_stay_finite_where_twice_the_dot_product_overflows(self, capsys):
         # f = 2 (d.(x, y, z) / r) is finite, so m_0 is 1; the exact m_1 = 1.8e308 does overflow.
         state, obs = '{"p1": 1, "p2": 0.9, "p3": 0.5}', '{"x": 1e308, "y": 1e308, "z1": 0, "z2": 0}'
@@ -228,13 +216,7 @@ class TestExitCodes:
         code, out = run_cli(["simulate", "--state", STATE_MIXED, "--obs", OBS_SIGMA_X, "--n-tosses", str(10**23)])
         assert code == 1
         assert out == ""
-        assert capsys.readouterr().err == f"error: n must be at most {2**63 - 1}, got {10**23}\n"
-
-    def test_domain_error_quantum_fraction_samples_above_bound(self, capsys):
-        code, out = run_cli(["quantum-fraction", "--n-samples", str(MAX_QF_SAMPLES + 1)])
-        assert code == 1
-        assert out == ""
-        assert capsys.readouterr().err.startswith("error: --n-samples must be at most")
+        assert capsys.readouterr().err == f"error: --n-tosses must be at most {2**63 - 1}, got {10**23}\n"
 
     def test_domain_error_out_of_memory_prints_no_traceback(self, monkeypatch, capsys):
         def exhausted(*_args):
@@ -344,6 +326,53 @@ class TestExitCodes:
         code, _ = run_cli(["render", STATE_MIXED, "--out", str(tmp_path / "missing" / "x.svg")])
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
+
+
+# The first golden argv of each subcommand: a valid call that a repeated flag can override.
+BASE_ARGV = {argv[0]: argv for _name, argv, _schema in reversed(JSON_CASES)}
+# One value past each end of every integer flag's range in the subcommand table.
+REFUSED_INTEGERS = [
+    (command, name, value, f"{command}-{name.lstrip('-')}-{end}")
+    for command, (_help, arguments, _compute) in _SUBCOMMANDS.items()
+    for name, kind, *_ in arguments if isinstance(kind, range)
+    for value, end in ((kind[0] - 1, "low"), (kind[-1] + 1, "high"))
+]
+SEEDED = [command for command, (_help, arguments, _compute) in _SUBCOMMANDS.items() if "--seed" in [a[0] for a in arguments]]
+
+
+class TestSubcommandTable:
+    @pytest.mark.parametrize("command,flag,value", [c[:3] for c in REFUSED_INTEGERS], ids=[c[3] for c in REFUSED_INTEGERS])
+    def test_refused_integer_flag_is_named(self, command, flag, value, capsys):
+        code, out = run_cli([*BASE_ARGV[command], flag, str(value)])
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be at")
+
+    def test_every_seeded_subcommand_bounds_its_seed(self):
+        assert SEEDED == ["simulate", "sample", "quantum-fraction"]
+        refused = {(c, v) for c, flag, v, _id in REFUSED_INTEGERS if flag == "--seed"}
+        assert refused == {(c, v) for c in SEEDED for v in (-1, 2**64)}
+
+    @pytest.mark.parametrize("value", [-1, 2**64])
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_refused_env_seed_is_named(self, command, value, monkeypatch, capsys):
+        argv = BASE_ARGV[command]
+        at = argv.index("--seed")
+        monkeypatch.setenv(SEED_ENV_VAR, str(value))
+        code, out = run_cli(argv[:at] + argv[at + 2:])
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith(f"error: {SEED_ENV_VAR} must be at")
+
+    def test_every_subcommand_has_a_golden_and_a_schema(self):
+        defs = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))["$defs"]
+        json_schemas = {argv[0]: schema for _name, argv, schema in JSON_CASES}
+        for command in _SUBCOMMANDS:
+            if command == "render":  # the one subcommand that writes a file, not JSON
+                assert SVG_CASES
+            else:
+                assert json_schemas.get(command) in defs, command
+        assert set(json_schemas) <= set(_SUBCOMMANDS)
 
 
 class TestSeedHandling:

@@ -398,6 +398,9 @@ class TestBlochMaps:
     def test_spin_down_along_z(self):
         assert sc.bloch_to_probs(sc.BlochVector(0, 0, -1)) == sc.ProbabilityTriple(0.5, 0.5, 0.0)
 
+    def test_as_tuple_reads_x_equal_to_2p_minus_1(self):
+        assert sc.probs_to_bloch(sc.ProbabilityTriple(1, 0.5, 0.25)).as_tuple() == (1.0, 0.0, -0.5)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(sc.InvalidBlochVectorError):
             sc.BlochVector(1.5, 0.0, 0.0)
