@@ -9,8 +9,8 @@ Output is byte deterministic for identical argv and seed; the default
 seed can be overridden with the ``SPINCOINS_SEED`` environment variable.
 
 Each subcommand is one row of ``_SUBCOMMANDS``, which holds the range of
-each integer flag; a value outside it exits 1 and names the flag, or
-``SPINCOINS_SEED``. Running out of memory also exits 1, with an
+each integer flag; a decimal integer of any length outside it exits 1 and
+names the flag, or ``SPINCOINS_SEED``. Running out of memory also exits 1, with an
 ``error:`` line and no traceback.
 """
 
@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Any, Callable, TextIO
@@ -33,6 +34,10 @@ MAX_MOMENT_ORDER = 10**5
 # quantum-fraction needs O(block) memory for any count; this bounds its
 # time, which grows linearly with the count.
 MAX_QF_SAMPLES = 10**9
+# A decimal integer as int() spells one: a sign, digits of any script with single underscores
+# between them, and spaces around. int() refuses more than sys.get_int_max_str_digits() digits,
+# so an integer flag's digits are counted against its bounds before any conversion.
+_DECIMAL = re.compile(r"\s*([+-]?)(\d+(?:_\d+)*)\s*")
 
 
 class UsageError(Exception):
@@ -59,6 +64,33 @@ def _json_argument(raw: str, field: str) -> Any:
         raise UsageError(f"{field}: malformed JSON ({exc.msg} at position {exc.pos})") from None
     except (ValueError, RecursionError) as exc:  # an integer past Python's digit limit, or nesting too deep
         raise UsageError(f"{field}: unreadable JSON ({exc})") from None
+
+
+def _abridged(text: str) -> str:
+    """``repr(text)`` for an error message, cut to its first 20 characters and its length when longer than 40."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
+def _decimal(text: str) -> str:
+    """argparse type of the integer flags: ``text`` if it spells a decimal integer, of any length; _checked converts it."""
+    if _DECIMAL.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_abridged(text)}")
+    return text
+
+
+def _bounded_int(text: str, name: str, bounds: range) -> int:
+    """A decimal integer's text as an int in ``bounds``, else ValueError naming ``name``.
+
+    A value of more than 40 digits, and more than either bound has, is refused by its
+    digit count, never converted or echoed.
+    """
+    sign, digits = _DECIMAL.fullmatch(text).groups()
+    digits = digits.replace("_", "")
+    digits = digits[next((i for i, digit in enumerate(digits) if int(digit)), len(digits)):]  # leading zeros of any script
+    if len(digits) > max(40, len(str(max(-bounds[0], bounds[-1])))):
+        end, bound, kind = ("least", bounds[0], "a negative") if sign == "-" else ("most", bounds[-1], "an")
+        raise ValueError(f"{name} must be at {end} {bound}, got {kind} integer of {len(digits)} digits")
+    return core._as_int(int(sign + (digits or "0")), name, bounds[0], bounds[-1])
 
 
 def _render(state: core.ProbabilityTriple, out: str, scale: float) -> None:
@@ -145,7 +177,7 @@ _SUBCOMMANDS: dict[str, tuple[str, list[tuple], Callable[..., dict | None]]] = {
         [
             ("--region", ("cube", "ball", "sphere"), None),
             _SEED,
-            ("--count", range(1, MAX_SAMPLE_COUNT + 1), f"number of states to draw (at most {MAX_SAMPLE_COUNT})", 1),
+            ("--count", range(1, MAX_SAMPLE_COUNT + 1), f"number of states to draw (at most {MAX_SAMPLE_COUNT})", "1"),
         ],
         lambda region, rng, count: {"region": region, "seed": rng.seed, "algorithm": rng.algorithm,
                                     "states": [s.to_dict() for s in coinsim.sample_states(region, count, rng)]},
@@ -176,12 +208,10 @@ def _checked(args: argparse.Namespace, name: str, kind: Any) -> Any:
     if not isinstance(kind, range):
         return value  # a float, str or choice, which parse_args has checked
     if value is None:  # only --seed has no default: $SPINCOINS_SEED stands in for it, and DEFAULT_SEED for both
-        name, raw = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
-        try:
-            value = int(raw)
-        except ValueError:  # only the environment variable can hold a non-integer
-            raise UsageError(f"{SEED_ENV_VAR}={raw!r} is not an integer seed") from None
-    value = core._as_int(value, name, kind[0], kind[-1])
+        name, value = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
+        if _DECIMAL.fullmatch(value) is None:  # parse_args has checked the flags' spelling, through _decimal
+            raise UsageError(f"{SEED_ENV_VAR}={_abridged(value)} is not an integer seed")
+    value = _bounded_int(value, name, kind)
     return coinsim.RngSpec(value) if dest == "seed" else value
 
 
@@ -198,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
             options = {"required": not default, "default": default[0] if default else None} if name.startswith("--") else {}
             p.add_argument(
                 name, help=help_text, **options, choices=kind if isinstance(kind, tuple) else None,
-                type=int if isinstance(kind, range) else kind if kind in (float, str) else None,
+                type=_decimal if isinstance(kind, range) else kind if kind in (float, str) else None,
             )
     return parser
 

@@ -3,14 +3,18 @@
 The three coins are always tossed independently. The quantum-ball
 constraint restricts which parameter triples describe a qubit; it does not
 correlate the toss outcomes themselves. Every sampler takes an explicit
-:class:`RngSpec` so results are bit-for-bit reproducible, and all of
-them draw rows through one array path, in bounded blocks.
+:class:`RngSpec` so results are bit-for-bit reproducible. The array
+paths draw through numpy in bounded blocks. A process that has not
+imported numpy draws its tosses, and small cube and ball samples, from a
+pure-Python copy of the same PCG64 stream (``spincoins._pcg64``), which
+gives the same numbers without paying numpy's import.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Literal
@@ -38,6 +42,12 @@ MAX_TOSSES = 2**63 - 1
 MAX_SEED = 2**64 - 1
 # Rows per array draw; bounds the samplers' temporaries at a few MB.
 _BLOCK_ROWS = 2**16
+# Most tosses per coin drawn without numpy: above 2**53 numpy's BTPE rounds its int64-to-double
+# conversions in ways the pure-Python copy does not follow.
+_PURE_MAX_TOSSES = 2**53
+# Most rows sample_states draws without numpy. Measured on a shared 2-CPU host: 5000 ball rows
+# took 30-50 ms in pure Python, against 80-110 ms for importing numpy and drawing them there.
+_PURE_MAX_COUNT = 5000
 # Most threads quantum_fraction splits its stream over; keeps each thread's
 # blocks large, so the Python held under the GIL per block stays small.
 _MAX_WORKERS = 8
@@ -68,6 +78,11 @@ class RngSpec:
 
         sequence = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(sequence))
+
+
+def _numpy_loaded() -> bool:
+    """Whether this process has imported numpy; if not, tosses and small samples are drawn without it."""
+    return "numpy" in sys.modules
 
 
 _COUNT_NAMES = tuple(f"heads_counts[{k}]" for k in range(3))
@@ -129,10 +144,17 @@ def toss(p: ProbabilityTriple, n: int, rng: RngSpec) -> TossRecord:
     The counts are three binomial draws with success probabilities
     (p1, p2, p3); fixing the spec fixes the record exactly. ``n`` is an int
     (numpy ones included, never a bool) from 1 to :data:`MAX_TOSSES`.
+    Without numpy loaded, and for n up to ``_PURE_MAX_TOSSES``, the draws
+    come from the pure-Python stream, which gives the counts numpy would.
     """
     n = _as_int(n, "n", 1, MAX_TOSSES)
+    if not _numpy_loaded() and n <= _PURE_MAX_TOSSES:
+        from ._pcg64 import Stream
+
+        binomial = Stream(rng.seed, rng.stream).binomial
+    else:
+        binomial = rng.generator().binomial
     # three scalar draws in coin order give the counts of one array draw, as Python ints
-    binomial = rng.generator().binomial
     return TossRecord(n_tosses=n, heads_counts=(binomial(n, p.p1), binomial(n, p.p2), binomial(n, p.p3)))
 
 
@@ -186,10 +208,15 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
     it. The checked rows then become triples through the trusted bulk
     constructor ``ProbabilityTriple._from_columns``, which fills them column
     by column with no per-field validation and no Python code per triple.
+    Without numpy loaded, up to ``_PURE_MAX_COUNT`` cube or ball rows come
+    from the pure-Python stream, one row of three doubles at a time: the
+    same rows, which lie in [0, 1) by construction.
     """
+    count = _as_int(count, "count", 1)
+    if not _numpy_loaded() and region in ("cube", "ball") and count <= _PURE_MAX_COUNT:
+        return ProbabilityTriple._from_columns(*_pure_columns(region, count, rng))
     import numpy as np
 
-    count = _as_int(count, "count", 1)
     gen = rng.generator()
     blocks, held = [], 0
     while held < count:
@@ -201,6 +228,23 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
         bad = int(np.flatnonzero(~in_range.all(axis=1))[0])
         raise InvalidProbabilityError(f"sampled row {bad}={rows[bad].tolist()!r} is not a coin probability in [0, 1]")
     return ProbabilityTriple._from_columns(*rows.T.tolist())
+
+
+def _pure_columns(region: SampleRegion, count: int, rng: RngSpec) -> tuple[list[float], list[float], list[float]]:
+    """The first ``count`` accepted cube or ball rows of ``rng``'s stream, as three columns, drawn without numpy."""
+    from ._pcg64 import Stream
+
+    random = Stream(rng.seed, rng.stream).random
+    columns: tuple[list[float], list[float], list[float]] = ([], [], [])
+    while len(columns[0]) < count:
+        row = (random(), random(), random())
+        if region == "ball":
+            centred = [x - BALL_CENTER for x in row]
+            if _dot(centred, centred) > BALL_RADIUS_SQ:
+                continue
+        for column, x in zip(columns, row):
+            column.append(x)
+    return columns
 
 
 def _usable_cpus() -> int:

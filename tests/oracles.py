@@ -117,6 +117,29 @@ def reference_states(region: str, count: int, gen: np.random.Generator) -> list[
     return states
 
 
+def binomial_pmf(n: int, p: float) -> list[float]:
+    """Pmf of the heads count of ``n`` tosses of a coin with heads probability ``p``: each term exact, rounded once.
+
+    With p = a / d exactly, the term k is comb(n, k) a^k (d - a)^(n - k) / d^n, an integer
+    ratio that Python's true division rounds correctly.
+    """
+    heads = Fraction(p)
+    a, d = heads.numerator, heads.denominator
+    tails_powers = [1]
+    for _ in range(n):
+        tails_powers.append(tails_powers[-1] * (d - a))
+    total, heads_power, pmf = d**n, 1, []
+    for k in range(n + 1):
+        pmf.append(math.comb(n, k) * heads_power * tails_powers[n - k] / total)
+        heads_power *= a
+    return pmf
+
+
+def chi_square_survival(statistic: float, df: int) -> float:
+    """P(X >= statistic) for X chi-square distributed with ``df`` degrees of freedom."""
+    return float(mpmath.gammainc(df / 2, statistic / 2, mpmath.inf, regularized=True))
+
+
 def edge_cube_points(rng: np.random.Generator, count: int) -> np.ndarray:
     """Cube samples that reach the cube's edge cases, shape (count, 3).
 

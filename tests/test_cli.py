@@ -116,7 +116,55 @@ class TestSubcommands:
         assert text.count("<rect") == 3
 
 
+# Every integer flag of the subcommand table, with its range.
+INTEGER_FLAGS = [
+    (command, name, kind)
+    for command, (_help, arguments, _compute) in _SUBCOMMANDS.items()
+    for name, kind, *_ in arguments if isinstance(kind, range)
+]
+INTEGER_FLAG_IDS = [f"{command}{flag}" for command, flag, _bounds in INTEGER_FLAGS]
+# More digits than int() converts by default (4300), but a valid argv on Linux.
+LONG_DIGITS = "7" * 5000
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("command,flag,bounds", INTEGER_FLAGS, ids=INTEGER_FLAG_IDS)
+    def test_domain_error_integer_flag_past_the_digit_limit_names_its_length(self, command, flag, bounds, capsys):
+        for sign, end, bound, kind in (("", "most", bounds[-1], "an"), ("-", "least", bounds[0], "a negative")):
+            code, out = run_cli([*BASE_ARGV[command], flag, sign + LONG_DIGITS])
+            assert (code, out) == (1, "")
+            assert capsys.readouterr().err == f"error: {flag} must be at {end} {bound}, got {kind} integer of 5000 digits\n"
+
+    @pytest.mark.parametrize("command,flag,bounds", INTEGER_FLAGS, ids=INTEGER_FLAG_IDS)
+    def test_integer_flag_with_thousands_of_leading_zeros_is_its_value(self, command, flag, bounds):
+        assert run_cli([*BASE_ARGV[command], flag, "0" * 5000 + str(bounds[0])]) == run_cli([*BASE_ARGV[command], flag, str(bounds[0])])
+
+    @pytest.mark.parametrize("command,flag,bounds", INTEGER_FLAGS, ids=INTEGER_FLAG_IDS)
+    def test_usage_error_long_non_integer_flag_is_shortened(self, command, flag, bounds, capsys):
+        code, out = run_cli([*BASE_ARGV[command], flag, LONG_DIGITS + "x"])
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid int value: '{LONG_DIGITS[:20]}'... (5001 characters)" in err
+        assert len(err) < 500
+
+    def test_domain_error_only_values_past_forty_digits_are_shortened(self, capsys):
+        for digits, shown in ((40, "7" * 40), (41, "an integer of 41 digits")):
+            code, out = run_cli([*BASE_ARGV["sample"], "--seed", "7" * digits])
+            assert (code, out) == (1, "")
+            assert capsys.readouterr().err == f"error: --seed must be at most {2**64 - 1}, got {shown}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "sample", "quantum-fraction"])
+    def test_env_seed_past_the_digit_limit(self, command, monkeypatch, capsys):
+        argv = BASE_ARGV[command]
+        at = argv.index("--seed")
+        monkeypatch.setenv(SEED_ENV_VAR, LONG_DIGITS)
+        assert run_cli(argv[:at] + argv[at + 2:]) == (1, "")
+        assert capsys.readouterr().err == f"error: {SEED_ENV_VAR} must be at most {2**64 - 1}, got an integer of 5000 digits\n"
+        monkeypatch.setenv(SEED_ENV_VAR, LONG_DIGITS + "x")
+        assert run_cli(argv[:at] + argv[at + 2:]) == (2, "")
+        err = capsys.readouterr().err
+        assert err == f"usage error: {SEED_ENV_VAR}='{LONG_DIGITS[:20]}'... (5001 characters) is not an integer seed\n"
+
     def test_domain_error_invalid_probability(self, capsys):
         code, _ = run_cli(["validate", '{"p1": 2, "p2": 0.5, "p3": 0.5}'])
         assert code == 1

@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import re
 import statistics
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import spincoins as sc
 from spincoins import coinsim
-from oracles import reference_states
+from oracles import binomial_pmf, chi_square_survival, reference_states
 
 PI_SIXTH = math.pi / 6.0
 
@@ -103,6 +105,29 @@ class TestToss:
             spec = sc.RngSpec(seed=int(gen.integers(2**63)), stream=case % 3)
             expected = tuple(spec.generator().binomial(n, probs).tolist())
             assert sc.toss(sc.ProbabilityTriple(*probs), n, spec).heads_counts == expected, (probs, n, spec)
+
+    def test_without_numpy_the_pure_stream_draws_the_same_counts(self, monkeypatch):
+        # A process without numpy draws up to 2**53 tosses from the pure-Python copy of the
+        # stream; the counts equal those of numpy's array draw.
+        gen = np.random.default_rng(21)
+        edges = [0.0, 1.0, 0.5, 1e-7, 1.0 - 1e-7, 5e-324]
+        sizes = [1, 2, 17, 10**6, 2**40, coinsim._PURE_MAX_TOSSES]
+        cases = []
+        for case in range(300):
+            probs = [float(gen.choice(edges)) if gen.random() < 0.5 else float(gen.random()) for _ in range(3)]
+            n = sizes[case % len(sizes)] if case < 60 else int(gen.integers(1, 2 ** int(gen.integers(1, 54)), endpoint=True))
+            spec = sc.RngSpec(seed=int(gen.integers(2**63)), stream=case % 3)
+            cases.append((probs, n, spec, tuple(spec.generator().binomial(n, probs).tolist())))
+
+        def numpy_path(_spec):
+            raise RuntimeError("numpy path")
+
+        monkeypatch.setattr(coinsim, "_numpy_loaded", lambda: False)
+        monkeypatch.setattr(coinsim.RngSpec, "generator", numpy_path)
+        for probs, n, spec, expected in cases:
+            assert sc.toss(sc.ProbabilityTriple(*probs), n, spec).heads_counts == expected, (probs, n, spec)
+        with pytest.raises(RuntimeError, match="numpy path"):
+            sc.toss(sc.ProbabilityTriple(0.5, 0.5, 0.5), coinsim._PURE_MAX_TOSSES + 1, sc.RngSpec(0))
 
     def test_rejects_zero_tosses(self):
         with pytest.raises(ValueError, match="n"):
@@ -233,6 +258,24 @@ class TestSampleState:
         states = [s.as_tuple() for s in sc.sample_states(region, 20000, spec)]
         assert states == reference_states(region, 20000, spec.generator())
 
+    @pytest.mark.parametrize("region", ["cube", "ball"])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_without_numpy_the_pure_stream_draws_the_same_rows(self, region, seed, monkeypatch):
+        spec = sc.RngSpec(seed, stream=3)
+        expected = sc.sample_states(region, coinsim._PURE_MAX_COUNT, spec)
+
+        def numpy_path(_spec):
+            raise RuntimeError("numpy path")
+
+        monkeypatch.setattr(coinsim, "_numpy_loaded", lambda: False)
+        monkeypatch.setattr(coinsim.RngSpec, "generator", numpy_path)
+        pure = sc.sample_states(region, coinsim._PURE_MAX_COUNT, spec)
+        assert [s.as_tuple() for s in pure] == [s.as_tuple() for s in expected]
+        assert all(type(v) is float for s in pure for v in s.as_tuple())
+        for beyond in ((region, coinsim._PURE_MAX_COUNT + 1), ("sphere", 1)):
+            with pytest.raises(RuntimeError, match="numpy path"):
+                sc.sample_states(*beyond, spec)
+
     def test_bulk_sampler_rejects_zero_count(self):
         with pytest.raises(ValueError, match="count"):
             sc.sample_states("cube", 0, sc.RngSpec(seed=0))
@@ -334,6 +377,17 @@ class TestQuantumFraction:
         self._draw_failing_off_the_main_thread(monkeypatch)
         assert 0.0 < sc.quantum_fraction(coinsim._BLOCK_ROWS - 1, sc.RngSpec(seed=0)) < 1.0
 
+    def test_without_an_affinity_mask_the_cpu_count_sets_the_workers(self, monkeypatch):
+        # Platforms without os.sched_getaffinity (macOS, Windows) fall back on os.cpu_count,
+        # which may return None; the fraction is the same for any worker count.
+        n = 3 * 2**16 + 1
+        expected = sc.quantum_fraction(n, sc.RngSpec(seed=1))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cpus, workers in ((3, 3), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            assert coinsim._usable_cpus() == workers
+            assert sc.quantum_fraction(n, sc.RngSpec(seed=1)) == expected
+
     def test_ball_rejection_rate_cross_check(self):
         # The ball sampler accepts cube draws at the same pi/6 rate that
         # quantum_fraction estimates.
@@ -341,6 +395,38 @@ class TestQuantumFraction:
         accepted = sum(sc.quantum_validity(s).is_quantum for s in states) / len(states)
         assert abs(accepted - PI_SIXTH) <= 0.02
         assert abs(accepted - sc.quantum_fraction(20000, sc.RngSpec(seed=9))) <= 0.02
+
+
+# Fixed before any result was looked at: the triple, 2000 records per case, and alpha = 1e-6
+# for each of the 12 checks (numpy and pure paths, 20 and 500 tosses, three coins), so a
+# correct toss fails the class with probability at most 1.2e-5.
+LAW_TRIPLE = (0.3, 0.6, 0.85)
+LAW_RECORDS = 2000
+LAW_ALPHA = 1e-6
+
+
+class TestTossFollowsTheBinomialLaw:
+    # 20 tosses take numpy's inversion branch for all three coins, 500 tosses its BTPE branch.
+    @pytest.mark.parametrize("n", [20, 500])
+    @pytest.mark.parametrize("numpy_loaded", [True, False], ids=["numpy", "pure"])
+    def test_each_coin_count_passes_a_chi_square_test(self, numpy_loaded, n, monkeypatch):
+        monkeypatch.setattr(coinsim, "_numpy_loaded", lambda: numpy_loaded)
+        state = sc.ProbabilityTriple(*LAW_TRIPLE)
+        records = [sc.toss(state, n, sc.RngSpec(seed=n * LAW_RECORDS + k)) for k in range(LAW_RECORDS)]
+        for coin, p in enumerate(LAW_TRIPLE):
+            observed = Counter(record.heads_counts[coin] for record in records)
+            # Neighbouring counts are pooled from the low end until a bin expects at least 5
+            # records; the high tail joins the last bin.
+            bins, expected, seen = [], 0, 0
+            for heads, weight in enumerate(binomial_pmf(n, p)):
+                expected, seen = expected + LAW_RECORDS * weight, seen + observed[heads]
+                if expected >= 5:
+                    bins.append([expected, seen])
+                    expected, seen = 0, 0
+            bins[-1][0] += expected
+            bins[-1][1] += seen
+            statistic = sum((seen - expected) ** 2 / expected for expected, seen in bins)
+            assert chi_square_survival(statistic, len(bins) - 1) >= LAW_ALPHA, (coin, statistic, len(bins))
 
 
 def test_estimator_error_scales_as_inverse_sqrt():

@@ -1,0 +1,63 @@
+"""The pure-Python PCG64 stream draws exactly what numpy's Generator draws for the same RngSpec."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from spincoins import coinsim
+from spincoins._pcg64 import Stream
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+RANDOM_SEEDS = [random.Random(19).getrandbits(64) for _ in range(5)]
+STREAMS = [0, 1, 2**70 + 3]
+# numpy's branch points and float edges: n p <= 30 takes inversion, above it BTPE, p > 1/2 the mirror.
+EDGE_PROBABILITIES = [0.0, 1.0, 0.5, 1e-300, 1e-18, 1.0 - 2**-53, 5e-324, 2**-53]
+BINOMIAL_SEEDS, DRAWS_PER_SEED = 2000, 10
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize("seed", EDGE_SEEDS + RANDOM_SEEDS)
+def test_doubles_match_generator_random(seed, stream):
+    pure = Stream(seed, stream)
+    assert [pure.random() for _ in range(100)] == coinsim.RngSpec(seed, stream).generator().random(100).tolist()
+
+
+def binomial_case(rng: random.Random) -> tuple[int, float]:
+    """One (n, p): n up to the most tosses the pure path takes, p uniform, log-uniform or an edge."""
+    kind = rng.random()
+    if kind < 0.25:
+        n = rng.randint(0, 100)
+    elif kind < 0.5:
+        n = rng.randint(0, 10**6)
+    elif kind < 0.95:
+        n = rng.randint(0, 2 ** rng.randint(1, 53))
+    else:
+        n = coinsim._PURE_MAX_TOSSES
+    kind = rng.random()
+    if kind < 0.25:
+        p = rng.choice(EDGE_PROBABILITIES)
+    elif kind < 0.5:
+        p = 10 ** rng.uniform(-20, 0)
+    elif kind < 0.6 and n:
+        p = min(1.0, rng.uniform(28.0, 32.0) / n)  # either side of the inversion/BTPE split
+    else:
+        p = rng.random()
+    return n, p if rng.random() < 0.5 else 1.0 - p
+
+
+def test_binomials_match_generator_binomial():
+    # Each seed's stream takes ten draws in turn, so a draw that used a different
+    # number of doubles would also shift every later draw of that stream.
+    rng = random.Random(20261019)
+    branches = {"inversion": 0, "btpe": 0}
+    for _ in range(BINOMIAL_SEEDS):
+        spec = coinsim.RngSpec(rng.getrandbits(64), rng.choice(STREAMS))
+        pure, reference = Stream(spec.seed, spec.stream), spec.generator()
+        for _ in range(DRAWS_PER_SEED):
+            n, p = binomial_case(rng)
+            if n and 0.0 < p < 1.0:
+                branches["inversion" if min(p, 1.0 - p) * n <= 30.0 else "btpe"] += 1
+            assert pure.binomial(n, p) == reference.binomial(n, p), (n, p, spec)
+    assert min(branches.values()) >= 5000, branches

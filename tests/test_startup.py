@@ -1,4 +1,9 @@
-"""The scalar entry points run without importing numpy; the array paths still load it and still work."""
+"""The scalar entry points, tosses and small cube and ball samples run without importing numpy.
+
+The sphere sampler and quantum-fraction still load it and still work. Each
+call's stdout in a fresh process equals the same call made in this one,
+where numpy is loaded, so the pure-Python stream draws what numpy draws.
+"""
 
 from __future__ import annotations
 
@@ -42,11 +47,18 @@ SCALAR_CALLS = {
     "to-probs": (["to-probs", '{"m": [[0.5, 0], [0, 0.25], [0, -0.25], [0.5, 0]]}'], 0),
     "exit-1": (["validate", '{"p1": 7, "p2": 0, "p3": 0}'], 1),
     "exit-2": (["validate", '{"p1": 0.5,'], 2),
+    "simulate": (["simulate", "--state", STATE, "--obs", OBS, "--n-tosses", "100", "--seed", "3"], 0),
+    "simulate-inversion": (["simulate", "--state", STATE, "--obs", OBS, "--n-tosses", "40", "--seed", "4"], 0),
+    "simulate-most-pure-tosses": (["simulate", "--state", STATE, "--obs", OBS, "--n-tosses", str(2**53), "--seed", "5"], 0),
+    "sample-ball": (["sample", "--region", "ball", "--count", "3", "--seed", "3"], 0),
+    "sample-ball-1000": (["sample", "--region", "ball", "--count", "1000", "--seed", "8"], 0),
+    "sample-cube": (["sample", "--region", "cube", "--count", "20", "--seed", str(2**64 - 1)], 0),
 }
 
 ARRAY_CALLS = {
-    "simulate": ["simulate", "--state", STATE, "--obs", OBS, "--n-tosses", "100", "--seed", "3"],
-    "sample": ["sample", "--region", "ball", "--count", "3", "--seed", "3"],
+    "sample": ["sample", "--region", "sphere", "--count", "3", "--seed", "3"],
+    "sample-beyond-pure-count": ["sample", "--region", "cube", "--count", "5001", "--seed", "3"],
+    "simulate-beyond-pure-tosses": ["simulate", "--state", STATE, "--obs", OBS, "--n-tosses", str(2**53 + 1)],
     "quantum-fraction": ["quantum-fraction", "--n-samples", "1000", "--seed", "3"],
 }
 
