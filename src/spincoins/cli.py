@@ -81,13 +81,12 @@ def _decimal(text: str) -> str:
 def _bounded_int(text: str, name: str, bounds: range) -> int:
     """A decimal integer's text as an int in ``bounds``, else ValueError naming ``name``.
 
-    A value of more than 40 digits, and more than either bound has, is refused by its
-    digit count, never converted or echoed.
+    A value of more than 40 digits is refused by its digit count, never converted or echoed.
     """
     sign, digits = _DECIMAL.fullmatch(text).groups()
     digits = digits.replace("_", "")
     digits = digits[next((i for i, digit in enumerate(digits) if int(digit)), len(digits)):]  # leading zeros of any script
-    if len(digits) > max(40, len(str(max(-bounds[0], bounds[-1])))):
+    if len(digits) > 40:
         end, bound, kind = ("least", bounds[0], "a negative") if sign == "-" else ("most", bounds[-1], "an")
         raise ValueError(f"{name} must be at {end} {bound}, got {kind} integer of {len(digits)} digits")
     return core._as_int(int(sign + (digits or "0")), name, bounds[0], bounds[-1])
@@ -168,7 +167,7 @@ _SUBCOMMANDS: dict[str, tuple[str, list[tuple], Callable[..., dict | None]]] = {
             ("--state", _STATE, _STATE_HELP),
             ("--obs", _OBS, _OBS_HELP),
             _SEED,
-            ("--n-tosses", range(1, coinsim.MAX_TOSSES + 1), "tosses per coin (at most 2**63 - 1)"),
+            ("--n-tosses", range(1, coinsim.MAX_TOSSES + 1), f"tosses per coin (at most {coinsim.MAX_TOSSES})"),
         ],
         _simulate,
     ),
@@ -242,6 +241,7 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     _help, arguments, compute = _SUBCOMMANDS[args.command]
+    payload = None
     try:
         payload = compute(*[_checked(args, name, kind) for name, kind, *_ in arguments])
         text = None if payload is None else json.dumps(payload, indent=2, allow_nan=False) + "\n"
@@ -252,7 +252,9 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
         print(f"usage error: cannot write output ({exc.strerror})", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # an overflow, or an inf or NaN that json.dumps refused, which with finite inputs only an overflow makes
+        too_large = isinstance(exc, OverflowError) or payload is not None
+        print(f"error: {'a result too large for a finite JSON number' if too_large else exc}", file=sys.stderr)
         return 1
     except MemoryError:
         print("error: out of memory", file=sys.stderr)

@@ -36,15 +36,12 @@ if TYPE_CHECKING:
 
 SampleRegion = Literal["cube", "ball", "sphere"]
 
-# Most tosses per coin: numpy's binomial takes the count as a C long.
-MAX_TOSSES = 2**63 - 1
+# Most tosses per coin: numpy's binomial computes a count in doubles, which hold every integer only up to 2**53.
+MAX_TOSSES = 2**53
 # Largest seed a spec takes: one unsigned 64-bit word.
 MAX_SEED = 2**64 - 1
 # Rows per array draw; bounds the samplers' temporaries at a few MB.
 _BLOCK_ROWS = 2**16
-# Most tosses per coin drawn without numpy: above 2**53 numpy's BTPE rounds its int64-to-double
-# conversions in ways the pure-Python copy does not follow.
-_PURE_MAX_TOSSES = 2**53
 # Most rows sample_states draws without numpy. Measured on a shared 2-CPU host: 5000 ball rows
 # took 30-50 ms in pure Python, against 80-110 ms for importing numpy and drawing them there.
 _PURE_MAX_COUNT = 5000
@@ -143,12 +140,12 @@ def toss(p: ProbabilityTriple, n: int, rng: RngSpec) -> TossRecord:
 
     The counts are three binomial draws with success probabilities
     (p1, p2, p3); fixing the spec fixes the record exactly. ``n`` is an int
-    (numpy ones included, never a bool) from 1 to :data:`MAX_TOSSES`.
-    Without numpy loaded, and for n up to ``_PURE_MAX_TOSSES``, the draws
-    come from the pure-Python stream, which gives the counts numpy would.
+    (numpy ones included, never a bool) from 1 to :data:`MAX_TOSSES`, so every count is
+    exact. Without numpy loaded the draws come from the pure-Python stream, which gives
+    the counts numpy would.
     """
     n = _as_int(n, "n", 1, MAX_TOSSES)
-    if not _numpy_loaded() and n <= _PURE_MAX_TOSSES:
+    if not _numpy_loaded():
         from ._pcg64 import Stream
 
         binomial = Stream(rng.seed, rng.stream).binomial

@@ -184,14 +184,15 @@ class TestExitCodes:
                            "--n-tosses", "0"])
         assert code == 1
 
-    def test_domain_error_overflowing_moments_prints_no_json(self, capsys):
-        code, out = run_cli(
-            ["moments", "--n", "400", "--state", '{"p1": 0.5, "p2": 0.5, "p3": 1}',
-             "--obs", '{"x": 0, "y": 0, "z1": 10, "z2": -10}']
-        )
-        assert code == 1
-        assert out == ""
-        assert capsys.readouterr().err.startswith("error: ")
+    @pytest.mark.parametrize("argv", [
+        # 10^400 overflows in a power, e^1000 in an exponential, and m_1 = 1.8e308 only when written out
+        ["moments", "--n", "400", "--state", '{"p1": 0.5, "p2": 0.5, "p3": 1}', "--obs", '{"x": 0, "y": 0, "z1": 10, "z2": -10}'],
+        ["genfun", "--lam", "1000", "--state", STATE_MIXED, "--obs", OBS_SIGMA_Z],
+        ["moments", "--n", "1", "--state", '{"p1": 1, "p2": 0.9, "p3": 0.5}', "--obs", '{"x": 1e308, "y": 1e308, "z1": 0, "z2": 0}'],
+    ], ids=["power", "exponential", "payload"])
+    def test_domain_error_overflow_has_one_error_line(self, argv, capsys):
+        assert run_cli(argv) == (1, "")
+        assert capsys.readouterr().err == "error: a result too large for a finite JSON number\n"
 
     def test_zero_weight_outcome_with_overflowing_exponential(self):
         # All weight sits on the outcome -1, so e^{+710} is never taken; the exact value is e^{-710}.
@@ -258,13 +259,13 @@ class TestExitCodes:
         code, out = run_cli(["moments", "--n", "1", "--state", state, "--obs", obs])
         assert code == 1
         assert out == ""
-        assert capsys.readouterr().err.endswith(": inf\n")
+        assert capsys.readouterr().err == "error: a result too large for a finite JSON number\n"
 
-    def test_domain_error_tosses_beyond_a_c_long(self, capsys):
-        code, out = run_cli(["simulate", "--state", STATE_MIXED, "--obs", OBS_SIGMA_X, "--n-tosses", str(10**23)])
+    def test_domain_error_tosses_beyond_exact_counts(self, capsys):
+        code, out = run_cli(["simulate", "--state", STATE_MIXED, "--obs", OBS_SIGMA_X, "--n-tosses", str(2**53 + 1)])
         assert code == 1
         assert out == ""
-        assert capsys.readouterr().err == f"error: --n-tosses must be at most {2**63 - 1}, got {10**23}\n"
+        assert capsys.readouterr().err == "error: --n-tosses must be at most 9007199254740992, got 9007199254740993\n"
 
     def test_domain_error_out_of_memory_prints_no_traceback(self, monkeypatch, capsys):
         def exhausted(*_args):
@@ -412,6 +413,12 @@ class TestSubcommandTable:
         assert out == ""
         assert capsys.readouterr().err.startswith(f"error: {SEED_ENV_VAR} must be at")
 
+    def test_forty_digits_hold_every_bound(self):
+        # _bounded_int refuses a value of more than 40 digits unconverted, so no bound may be longer
+        bounds = [kind[end] for _help, arguments, _compute in _SUBCOMMANDS.values()
+                  for _name, kind, *_ in arguments if isinstance(kind, range) for end in (0, -1)]
+        assert bounds and max(len(str(abs(bound))) for bound in bounds) <= 40
+
     def test_every_subcommand_has_a_golden_and_a_schema(self):
         defs = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))["$defs"]
         json_schemas = {argv[0]: schema for _name, argv, schema in JSON_CASES}
@@ -481,6 +488,15 @@ class TestSchemas:
         )
         _, out = run_cli(argv)
         validator.validate(json.loads(out))
+
+    def test_simulate_result_holds_at_most_exact_counts(self):
+        schema = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
+        validator = Draft202012Validator({"$ref": "#/$defs/simulate_result", "$defs": schema["$defs"]})
+        _, out = run_cli(["simulate", "--state", STATE_MIXED, "--obs", OBS_SIGMA_X, "--n-tosses", str(coinsim.MAX_TOSSES)])
+        payload = json.loads(out)
+        validator.validate(payload)
+        for field, value in (("n_tosses", coinsim.MAX_TOSSES + 1), ("heads_counts", [coinsim.MAX_TOSSES + 1, 0, 0])):
+            assert not validator.is_valid({**payload, field: value}), field
 
 
 def test_module_entry_point_matches_in_process_output():

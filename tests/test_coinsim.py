@@ -107,11 +107,11 @@ class TestToss:
             assert sc.toss(sc.ProbabilityTriple(*probs), n, spec).heads_counts == expected, (probs, n, spec)
 
     def test_without_numpy_the_pure_stream_draws_the_same_counts(self, monkeypatch):
-        # A process without numpy draws up to 2**53 tosses from the pure-Python copy of the
-        # stream; the counts equal those of numpy's array draw.
+        # A process without numpy draws every toss from the pure-Python copy of the stream;
+        # the counts equal those of numpy's array draw.
         gen = np.random.default_rng(21)
         edges = [0.0, 1.0, 0.5, 1e-7, 1.0 - 1e-7, 5e-324]
-        sizes = [1, 2, 17, 10**6, 2**40, coinsim._PURE_MAX_TOSSES]
+        sizes = [1, 2, 17, 10**6, 2**40, coinsim.MAX_TOSSES]
         cases = []
         for case in range(300):
             probs = [float(gen.choice(edges)) if gen.random() < 0.5 else float(gen.random()) for _ in range(3)]
@@ -126,16 +126,16 @@ class TestToss:
         monkeypatch.setattr(coinsim.RngSpec, "generator", numpy_path)
         for probs, n, spec, expected in cases:
             assert sc.toss(sc.ProbabilityTriple(*probs), n, spec).heads_counts == expected, (probs, n, spec)
-        with pytest.raises(RuntimeError, match="numpy path"):
-            sc.toss(sc.ProbabilityTriple(0.5, 0.5, 0.5), coinsim._PURE_MAX_TOSSES + 1, sc.RngSpec(0))
+        # every accepted n, MAX_TOSSES included, draws without calling RngSpec.generator
+        assert max(n for _probs, n, _spec, _expected in cases) == coinsim.MAX_TOSSES
 
     def test_rejects_zero_tosses(self):
         with pytest.raises(ValueError, match="n"):
             sc.toss(sc.ProbabilityTriple(0.5, 0.5, 0.5), 0, sc.RngSpec(seed=0))
 
-    def test_rejects_counts_beyond_a_c_long(self):
-        with pytest.raises(ValueError, match=r"^n must be at most 9223372036854775807, got 9223372036854775808$"):
-            sc.toss(sc.ProbabilityTriple(0.5, 0.5, 0.5), 2**63, sc.RngSpec(seed=0))
+    def test_rejects_counts_beyond_exact_doubles(self):
+        with pytest.raises(ValueError, match=r"^n must be at most 9007199254740992, got 9007199254740993$"):
+            sc.toss(sc.ProbabilityTriple(0.5, 0.5, 0.5), 2**53 + 1, sc.RngSpec(seed=0))
 
     def test_record_validates_counts(self):
         with pytest.raises(ValueError, match="heads_counts"):
@@ -427,6 +427,29 @@ class TestTossFollowsTheBinomialLaw:
             bins[-1][1] += seen
             statistic = sum((seen - expected) ** 2 / expected for expected, seen in bins)
             assert chi_square_survival(statistic, len(bins) - 1) >= LAW_ALPHA, (coin, statistic, len(bins))
+
+
+# Fixed before any result was looked at: the count (the bound itself), 2000 draws per case
+# (the three coins of 667 records, seeds 0 to 666 on stream 20) and a band of six standard
+# deviations, which a correct toss leaves with probability about 2e-9 per case.
+PARITY_TOSSES = coinsim.MAX_TOSSES
+PARITY_DRAWS = 2000
+
+
+class TestTossCountsAreExact:
+    # Above 2**53 a double cannot hold every count, and numpy's BTPE, which computes the count
+    # in doubles, loses its low bits: at 2**55 every count it returns is even. At MAX_TOSSES the
+    # parity of a binomial count is a fair coin for these p, so the share of odd counts in
+    # PARITY_DRAWS draws lies within six standard deviations of 1/2.
+    @pytest.mark.parametrize("p", [0.5, 0.37])
+    @pytest.mark.parametrize("numpy_loaded", [True, False], ids=["numpy", "pure"])
+    def test_odd_counts_are_half_of_all(self, numpy_loaded, p, monkeypatch):
+        monkeypatch.setattr(coinsim, "_numpy_loaded", lambda: numpy_loaded)
+        state = sc.ProbabilityTriple(p, p, p)
+        records = [sc.toss(state, PARITY_TOSSES, sc.RngSpec(seed=k, stream=20)) for k in range(PARITY_DRAWS // 3 + 1)]
+        counts = [count for record in records for count in record.heads_counts][:PARITY_DRAWS]
+        odd_share = sum(count % 2 for count in counts) / PARITY_DRAWS
+        assert abs(odd_share - 0.5) <= 6.0 * math.sqrt(0.25 / PARITY_DRAWS), odd_share
 
 
 def test_estimator_error_scales_as_inverse_sqrt():

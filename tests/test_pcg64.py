@@ -25,7 +25,7 @@ def test_doubles_match_generator_random(seed, stream):
 
 
 def binomial_case(rng: random.Random) -> tuple[int, float]:
-    """One (n, p): n up to the most tosses the pure path takes, p uniform, log-uniform or an edge."""
+    """One (n, p): n up to the most tosses toss takes, p uniform, log-uniform or an edge."""
     kind = rng.random()
     if kind < 0.25:
         n = rng.randint(0, 100)
@@ -34,7 +34,7 @@ def binomial_case(rng: random.Random) -> tuple[int, float]:
     elif kind < 0.95:
         n = rng.randint(0, 2 ** rng.randint(1, 53))
     else:
-        n = coinsim._PURE_MAX_TOSSES
+        n = coinsim.MAX_TOSSES
     kind = rng.random()
     if kind < 0.25:
         p = rng.choice(EDGE_PROBABILITIES)
@@ -61,3 +61,22 @@ def test_binomials_match_generator_binomial():
                 branches["inversion" if min(p, 1.0 - p) * n <= 30.0 else "btpe"] += 1
             assert pure.binomial(n, p) == reference.binomial(n, p), (n, p, spec)
     assert min(branches.values()) >= 5000, branches
+
+
+# BTPE's two tail rejections, found once by a search over seeds and confirmed by a line trace to
+# be taken by the first draw of each stream: a left-tail candidate y < 0 (n p near 31) and a
+# right-tail candidate y > n (p near 1/2, n = 63). The inversion's restart past its 10-sigma bound
+# and BTPE's v == 0.0 rejections need a tail beyond 10 standard deviations or a double of exactly
+# 0 (chance 2**-53 a draw), so no test reaches them.
+TAIL_REJECTIONS = {
+    "left-680": (4787644678407225177, 680, 0.04532813159511023),
+    "left-575": (11074907437122933099, 575, 0.05592364501366351),
+    "right-63a": (14182714434162694751, 63, 0.49636863115670465),
+    "right-63b": (4253457339914835205, 63, 0.49433073656738435),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAIL_REJECTIONS))
+def test_btpe_tail_rejections_match_generator_binomial(case):
+    seed, n, p = TAIL_REJECTIONS[case]
+    assert Stream(seed, 0).binomial(n, p) == coinsim.RngSpec(seed).generator().binomial(n, p)

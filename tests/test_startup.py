@@ -2,7 +2,7 @@
 
 The sphere sampler and quantum-fraction still load it and still work. Each
 call's stdout in a fresh process equals the same call made in this one,
-where numpy is loaded, so the pure-Python stream draws what numpy draws.
+where numpy is imported, so the pure-Python stream draws what numpy draws.
 """
 
 from __future__ import annotations
@@ -12,12 +12,15 @@ import json
 import subprocess
 import sys
 
+import numpy  # loaded, so the in-process reference draws through numpy itself
 import pytest
 
 from spincoins.cli import run
+from spincoins.coinsim import MAX_TOSSES
 
 STATE = '{"p1": 0.5, "p2": 0.75, "p3": 0.5}'
 OBS = '{"x": 1, "y": 0, "z1": 1, "z2": -1}'
+SKEWED = '{"p1": 0.3, "p2": 0.6, "p3": 0.85}'
 
 # Runs in a fresh interpreter: imports the package or runs one CLI call, then
 # prints the exit code, the captured stdout and whether numpy got imported.
@@ -49,16 +52,20 @@ SCALAR_CALLS = {
     "exit-2": (["validate", '{"p1": 0.5,'], 2),
     "simulate": (["simulate", "--state", STATE, "--obs", OBS, "--n-tosses", "100", "--seed", "3"], 0),
     "simulate-inversion": (["simulate", "--state", STATE, "--obs", OBS, "--n-tosses", "40", "--seed", "4"], 0),
-    "simulate-most-pure-tosses": (["simulate", "--state", STATE, "--obs", OBS, "--n-tosses", str(2**53), "--seed", "5"], 0),
+    "simulate-most-pure-tosses": (["simulate", "--state", STATE, "--obs", OBS, "--n-tosses", str(MAX_TOSSES), "--seed", "5"], 0),
+    "simulate-beyond-max-tosses": (["simulate", "--state", STATE, "--obs", OBS, "--n-tosses", str(MAX_TOSSES + 1)], 1),
+    "simulate-skewed-inversion": (["simulate", "--state", SKEWED, "--obs", OBS, "--n-tosses", "20", "--seed", "5"], 0),
+    "simulate-skewed-btpe": (["simulate", "--state", SKEWED, "--obs", OBS, "--n-tosses", str(10**6), "--seed", str(2**64 - 1)], 0),
     "sample-ball": (["sample", "--region", "ball", "--count", "3", "--seed", "3"], 0),
     "sample-ball-1000": (["sample", "--region", "ball", "--count", "1000", "--seed", "8"], 0),
     "sample-cube": (["sample", "--region", "cube", "--count", "20", "--seed", str(2**64 - 1)], 0),
+    "sample-cube-seed-2-32": (["sample", "--region", "cube", "--count", "20", "--seed", str(2**32)], 0),
+    "sample-ball-most-pure-rows": (["sample", "--region", "ball", "--count", "5000", "--seed", "7"], 0),
 }
 
 ARRAY_CALLS = {
     "sample": ["sample", "--region", "sphere", "--count", "3", "--seed", "3"],
     "sample-beyond-pure-count": ["sample", "--region", "cube", "--count", "5001", "--seed", "3"],
-    "simulate-beyond-pure-tosses": ["simulate", "--state", STATE, "--obs", OBS, "--n-tosses", str(2**53 + 1)],
     "quantum-fraction": ["quantum-fraction", "--n-samples", "1000", "--seed", "3"],
 }
 
@@ -71,6 +78,7 @@ def probe(argv: list[str] | None) -> dict:
 
 
 def in_process(argv: list[str]) -> tuple[int, str]:
+    assert "numpy" in sys.modules
     buffer = io.StringIO()
     return run(argv, stdout=buffer), buffer.getvalue()
 

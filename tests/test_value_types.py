@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import spincoins as sc
+from spincoins import coinsim
 
 _P = sc.ProbabilityTriple(0.3, 0.8, 0.6)
 _OBS = sc.GameObservable(1.0, -0.5, 2.0, 0.25)
@@ -175,7 +176,7 @@ INTEGER_ARGUMENTS = (
     ("heads_counts[0]", lambda value: sc.TossRecord(5, (value, 0, 0)), 0, 5),
     ("seed", lambda value: sc.RngSpec(value), 0, 2**64 - 1),
     ("stream", lambda value: sc.RngSpec(0, value), 0, None),
-    ("n", lambda value: sc.toss(_P, value, _SPEC), 1, 2**63 - 1),
+    ("n", lambda value: sc.toss(_P, value, _SPEC), 1, coinsim.MAX_TOSSES),
     ("count", lambda value: sc.sample_states("cube", value, _SPEC), 1, None),
     ("n_samples", lambda value: sc.quantum_fraction(value, _SPEC), 1000, None),
     ("n_max", lambda value: sc.moments(_P, _OBS, value), 0, None),
