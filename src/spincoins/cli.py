@@ -25,7 +25,9 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, TextIO
 
-from . import coinsim, core, observables, suprematism
+import spincoins
+
+from . import core
 
 SEED_ENV_VAR = "SPINCOINS_SEED"
 DEFAULT_SEED = 0
@@ -92,26 +94,28 @@ def _bounded_int(text: str, name: str, bounds: range) -> int:
     return core._as_int(int(sign + (digits or "0")), name, bounds[0], bounds[-1])
 
 
-def _render(state: core.ProbabilityTriple, out: str, scale: float) -> None:
-    svg = suprematism.render_triad_svg(suprematism.side_lengths(state), scale=scale)
+def _render(state: spincoins.ProbabilityTriple, out: str, scale: float) -> None:
+    svg = spincoins.suprematism.render_triad_svg(spincoins.suprematism.side_lengths(state), scale=scale)
     Path(out).write_bytes(svg.encode("utf-8"))
 
 
-def _simulate(state: core.ProbabilityTriple, obs: observables.GameObservable, rng: coinsim.RngSpec, n: int) -> dict:
-    record = coinsim.toss(state, n, rng)
+def _simulate(state: spincoins.ProbabilityTriple, obs: spincoins.GameObservable, rng: spincoins.RngSpec, n: int) -> dict:
+    record = spincoins.coinsim.toss(state, n, rng)
     return {"n_tosses": record.n_tosses, "heads_counts": list(record.heads_counts),
-            **coinsim.estimate(record, obs).to_dict(), "seed": rng.seed, "algorithm": rng.algorithm}
+            **spincoins.coinsim.estimate(record, obs).to_dict(), "seed": rng.seed, "algorithm": rng.algorithm}
 
 
-_STATE, _OBS = core.ProbabilityTriple, observables.GameObservable
+_STATE, _OBS = "ProbabilityTriple", "GameObservable"
 _STATE_HELP, _OBS_HELP = "state JSON or file path", "payoffs JSON or file path"
-_SEED = ("--seed", range(coinsim.MAX_SEED + 1), f"RNG seed (default: ${SEED_ENV_VAR} if set, else {DEFAULT_SEED})", None)
+_SEED = ("--seed", range(core.MAX_SEED + 1), f"RNG seed (default: ${SEED_ENV_VAR} if set, else {DEFAULT_SEED})", None)
 
 # The one description of each subcommand: name -> (help, arguments, compute). An argument is
-# (name, kind, help[, default]); a flag without a default is required. Its kind is a payload
-# class (read through from_dict), float, str, a tuple of choices, or the range of an integer.
-# run checks the arguments in the order listed and passes their values, in that order, to
-# compute, which returns the JSON payload, or None to print nothing.
+# (name, kind, help[, default]); a flag without a default is required. Its kind is the public
+# name of a payload class (read through from_dict), float, str, a tuple of choices, or the range
+# of an integer. run checks the arguments in the order listed and passes their values, in that
+# order, to compute, which returns the JSON payload, or None to print nothing. Compute reads the
+# library modules as attributes of the package, which imports each on first use, so a call
+# loads only the modules its subcommand computes with.
 _SUBCOMMANDS: dict[str, tuple[str, list[tuple], Callable[..., dict | None]]] = {
     "validate": (
         "quantum-admissibility report for a state",
@@ -125,7 +129,7 @@ _SUBCOMMANDS: dict[str, tuple[str, list[tuple], Callable[..., dict | None]]] = {
     ),
     "to-probs": (
         "map a density matrix back to a state",
-        [("matrix", core.DensityMatrix, 'matrix JSON {"m":[[re,im],...]} or a file path')],
+        [("matrix", "DensityMatrix", 'matrix JSON {"m":[[re,im],...]} or a file path')],
         lambda rho: core.density_to_probs(rho).to_dict(),
     ),
     "overlap": (
@@ -136,14 +140,14 @@ _SUBCOMMANDS: dict[str, tuple[str, list[tuple], Callable[..., dict | None]]] = {
     "area": (
         "Malevich triad side lengths and summed area",
         [("state", _STATE, _STATE_HELP)],
-        lambda state: dataclasses.asdict(suprematism.side_lengths(state)),
+        lambda state: dataclasses.asdict(spincoins.suprematism.side_lengths(state)),
     ),
     "render": (
         "render the Malevich triad to an SVG file",
         [
             ("state", _STATE, _STATE_HELP),
             ("--out", str, "output SVG path"),
-            ("--scale", float, f"pixels per unit side length (at most {suprematism.MAX_SCALE:g})", 100.0),
+            ("--scale", float, f"pixels per unit side length (at most {core.MAX_SCALE:g})", 100.0),
         ],
         _render,
     ),
@@ -154,12 +158,12 @@ _SUBCOMMANDS: dict[str, tuple[str, list[tuple], Callable[..., dict | None]]] = {
             ("--state", _STATE, _STATE_HELP),
             ("--obs", _OBS, 'payoffs JSON {"x":..,"y":..,"z1":..,"z2":..}'),
         ],
-        lambda n, state, obs: observables.moments(state, obs, n).to_dict(),
+        lambda n, state, obs: spincoins.observables.moments(state, obs, n).to_dict(),
     ),
     "genfun": (
         "moment generating function at one point",
         [("--state", _STATE, _STATE_HELP), ("--obs", _OBS, _OBS_HELP), ("--lam", float, "evaluation point lambda")],
-        lambda state, obs, lam: {"lambda": lam, "value": observables.generating_function(state, obs, lam)},
+        lambda state, obs, lam: {"lambda": lam, "value": spincoins.observables.generating_function(state, obs, lam)},
     ),
     "simulate": (
         "toss the coins and estimate payoff statistics",
@@ -167,7 +171,7 @@ _SUBCOMMANDS: dict[str, tuple[str, list[tuple], Callable[..., dict | None]]] = {
             ("--state", _STATE, _STATE_HELP),
             ("--obs", _OBS, _OBS_HELP),
             _SEED,
-            ("--n-tosses", range(1, coinsim.MAX_TOSSES + 1), f"tosses per coin (at most {coinsim.MAX_TOSSES})"),
+            ("--n-tosses", range(1, core.MAX_TOSSES + 1), f"tosses per coin (at most {core.MAX_TOSSES})"),
         ],
         _simulate,
     ),
@@ -179,17 +183,17 @@ _SUBCOMMANDS: dict[str, tuple[str, list[tuple], Callable[..., dict | None]]] = {
             ("--count", range(1, MAX_SAMPLE_COUNT + 1), f"number of states to draw (at most {MAX_SAMPLE_COUNT})", "1"),
         ],
         lambda region, rng, count: {"region": region, "seed": rng.seed, "algorithm": rng.algorithm,
-                                    "states": [s.to_dict() for s in coinsim.sample_states(region, count, rng)]},
+                                    "states": [s.to_dict() for s in spincoins.coinsim.sample_states(region, count, rng)]},
     ),
     "max-area": (
         "exact maximum of the summed square area over a region",
         [("--region", ("cube", "ball"), None)],
-        lambda region: suprematism.maximize_area(region).to_dict(),
+        lambda region: spincoins.suprematism.maximize_area(region).to_dict(),
     ),
     "quantum-fraction": (
         "Monte Carlo ball/cube volume ratio",
         [_SEED, ("--n-samples", range(1000, MAX_QF_SAMPLES + 1), f"cube samples (at least 1000, at most {MAX_QF_SAMPLES})")],
-        lambda rng, n: {"n_samples": n, "fraction": coinsim.quantum_fraction(n, rng),
+        lambda rng, n: {"n_samples": n, "fraction": spincoins.coinsim.quantum_fraction(n, rng),
                         "seed": rng.seed, "algorithm": rng.algorithm},
     ),
 }
@@ -202,8 +206,8 @@ def _checked(args: argparse.Namespace, name: str, kind: Any) -> Any:
     ``type=``, which would turn an invalid probability into exit 2.
     """
     value = getattr(args, dest := name.lstrip("-").replace("-", "_"))
-    if hasattr(kind, "from_dict"):
-        return kind.from_dict(_json_argument(value, dest))
+    if isinstance(kind, str):  # a payload class, by its public name
+        return getattr(spincoins, kind).from_dict(_json_argument(value, dest))
     if not isinstance(kind, range):
         return value  # a float, str or choice, which parse_args has checked
     if value is None:  # only --seed has no default: $SPINCOINS_SEED stands in for it, and DEFAULT_SEED for both
@@ -211,7 +215,7 @@ def _checked(args: argparse.Namespace, name: str, kind: Any) -> Any:
         if _DECIMAL.fullmatch(value) is None:  # parse_args has checked the flags' spelling, through _decimal
             raise UsageError(f"{SEED_ENV_VAR}={_abridged(value)} is not an integer seed")
     value = _bounded_int(value, name, kind)
-    return coinsim.RngSpec(value) if dest == "seed" else value
+    return spincoins.RngSpec(value) if dest == "seed" else value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,9 +5,11 @@ constraint restricts which parameter triples describe a qubit; it does not
 correlate the toss outcomes themselves. Every sampler takes an explicit
 :class:`RngSpec` so results are bit-for-bit reproducible. The array
 paths draw through numpy in bounded blocks. A process that has not
-imported numpy draws its tosses, and small cube and ball samples, from a
-pure-Python copy of the same PCG64 stream (``spincoins._pcg64``), which
-gives the same numbers without paying numpy's import.
+imported numpy draws its tosses and small samples from a pure-Python copy
+of the same PCG64 stream (``spincoins._pcg64``), which gives the same
+numbers without paying numpy's import. Every sampler maps uniform doubles
+with IEEE-exact operations only, so both streams give the same rows: the
+sphere's by Marsaglia's method (Ann. Math. Stat. 43(2), 1972).
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from typing import TYPE_CHECKING, ClassVar, Literal
 from .core import (
     BALL_CENTER,
     BALL_RADIUS_SQ,
+    MAX_SEED,
+    MAX_TOSSES,
     InvalidProbabilityError,
     ProbabilityTriple,
     _as_int,
@@ -29,17 +33,14 @@ from .core import (
     _in_ball,
     _show,
 )
-from .observables import GameObservable
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from .observables import GameObservable
+
 SampleRegion = Literal["cube", "ball", "sphere"]
 
-# Most tosses per coin: numpy's binomial computes a count in doubles, which hold every integer only up to 2**53.
-MAX_TOSSES = 2**53
-# Largest seed a spec takes: one unsigned 64-bit word.
-MAX_SEED = 2**64 - 1
 # Rows per array draw; bounds the samplers' temporaries at a few MB.
 _BLOCK_ROWS = 2**16
 # Most rows sample_states draws without numpy. Measured on a shared 2-CPU host: 5000 ball rows
@@ -174,12 +175,24 @@ def estimate(record: TossRecord, obs: GameObservable) -> SampleStats:
     )
 
 
-def _draw(region: SampleRegion, gen: np.random.Generator, n: int) -> np.ndarray:
-    """Accepted rows, in stream order, among ``n`` rows drawn from ``gen``.
+def _on_sphere(u, v, s, sqrt):
+    """Marsaglia's point (1/2 + u k, 1/2 + v k, 1 - s), k = sqrt(1 - s), of a pair in the unit disc, s = u^2 + v^2 < 1.
 
-    Ball rows are cube rows with r^2 <= 1/4 (acceptance rate pi/6). Sphere
-    rows are normal directions scaled onto the pure-state sphere; their norm
-    is summed in order, not by BLAS, so the stream is the same on every build.
+    It is 1/2 + 1/2 (2u k, 2v k, 1 - 2s), a uniform point of the pure-state
+    sphere. Takes floats with ``math.sqrt`` or arrays with ``np.sqrt``, which
+    round alike, so the pure and the array paths give the same bits.
+    """
+    k = sqrt(1.0 - s)
+    return BALL_CENTER + u * k, BALL_CENTER + v * k, 1.0 - s
+
+
+def _draw(region: SampleRegion, gen: np.random.Generator, n: int) -> np.ndarray:
+    """Accepted rows, in stream order, among ``n`` draws from ``gen``.
+
+    A cube or ball draw is three doubles; ball rows are the cube rows with
+    r^2 <= 1/4 (acceptance rate pi/6). A sphere draw is two doubles, u and
+    v = 2 x - 1, kept when s = u^2 + v^2 < 1 (acceptance rate pi/4) and
+    mapped onto the sphere by ``_on_sphere``.
     """
     import numpy as np
 
@@ -189,12 +202,10 @@ def _draw(region: SampleRegion, gen: np.random.Generator, n: int) -> np.ndarray:
         rows = gen.random((n, 3))
         centred = (rows - BALL_CENTER).T
         return rows[_dot(centred, centred) <= BALL_RADIUS_SQ]
-    if region == "sphere":
-        rows = gen.standard_normal((n, 3))
-        norm = np.sqrt(_dot(rows.T, rows.T))
-        keep = norm > 0.0
-        return BALL_CENTER + rows[keep] * (0.5 / norm[keep])[:, None]
-    raise ValueError(f"region must be 'cube', 'ball' or 'sphere', got {region!r}")
+    u, v = 2.0 * gen.random((n, 2)).T - 1.0
+    s = u * u + v * v
+    keep = s < 1.0
+    return np.column_stack(_on_sphere(u[keep], v[keep], s[keep], np.sqrt))
 
 
 def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[ProbabilityTriple]:
@@ -205,19 +216,27 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
     it. The checked rows then become triples through the trusted bulk
     constructor ``ProbabilityTriple._from_columns``, which fills them column
     by column with no per-field validation and no Python code per triple.
-    Without numpy loaded, up to ``_PURE_MAX_COUNT`` cube or ball rows come
-    from the pure-Python stream, one row of three doubles at a time: the
-    same rows, which lie in [0, 1) by construction.
+    Without numpy loaded, up to ``_PURE_MAX_COUNT`` rows come from the
+    pure-Python stream, one draw at a time: the same rows, range-checked by
+    each column's least and greatest value.
     """
     count = _as_int(count, "count", 1)
-    if not _numpy_loaded() and region in ("cube", "ball") and count <= _PURE_MAX_COUNT:
-        return ProbabilityTriple._from_columns(*_pure_columns(region, count, rng))
+    if region not in ("cube", "ball", "sphere"):
+        raise ValueError(f"region must be 'cube', 'ball' or 'sphere', got {region!r}")
+    if not _numpy_loaded() and count <= _PURE_MAX_COUNT:
+        columns = _pure_columns(region, count, rng)
+        # Rounding can take a sphere coordinate 2^-53 past 0 or 1, about once in 10^18 rows;
+        # the array path then draws the same rows and names that one.
+        if 0.0 <= min(map(min, columns)) and max(map(max, columns)) <= 1.0:
+            return ProbabilityTriple._from_columns(*columns)
     import numpy as np
 
     gen = rng.generator()
     blocks, held = [], 0
     while held < count:
-        blocks.append(_draw(region, gen, min(count, _BLOCK_ROWS)))
+        # about 4/pi sphere draws give a row, so the first sphere block usually holds them all
+        n = math.ceil((count - held) * 4.0 / math.pi) if region == "sphere" else count
+        blocks.append(_draw(region, gen, min(n, _BLOCK_ROWS)))
         held += len(blocks[-1])
     rows = np.concatenate(blocks)[:count]
     in_range = (rows >= 0.0) & (rows <= 1.0)
@@ -228,17 +247,24 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
 
 
 def _pure_columns(region: SampleRegion, count: int, rng: RngSpec) -> tuple[list[float], list[float], list[float]]:
-    """The first ``count`` accepted cube or ball rows of ``rng``'s stream, as three columns, drawn without numpy."""
+    """The first ``count`` accepted rows of ``rng``'s stream, as three columns, drawn without numpy as ``_draw`` draws them."""
     from ._pcg64 import Stream
 
     random = Stream(rng.seed, rng.stream).random
     columns: tuple[list[float], list[float], list[float]] = ([], [], [])
     while len(columns[0]) < count:
-        row = (random(), random(), random())
-        if region == "ball":
-            centred = [x - BALL_CENTER for x in row]
-            if _dot(centred, centred) > BALL_RADIUS_SQ:
+        if region == "sphere":
+            u, v = 2.0 * random() - 1.0, 2.0 * random() - 1.0
+            s = u * u + v * v
+            if s >= 1.0:
                 continue
+            row = _on_sphere(u, v, s, math.sqrt)
+        else:
+            row = (random(), random(), random())
+            if region == "ball":
+                centred = [x - BALL_CENTER for x in row]
+                if _dot(centred, centred) > BALL_RADIUS_SQ:
+                    continue
         for column, x in zip(columns, row):
             column.append(x)
     return columns

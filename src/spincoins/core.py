@@ -104,6 +104,16 @@ def _show(value: Any) -> str:
         return f"<{type(value).__name__} too long to print>"
 
 
+# The bounds of the numbers that spincoins.cli checks before it imports the module that takes them.
+# Largest seed an RngSpec takes: one unsigned 64-bit word.
+MAX_SEED = 2**64 - 1
+# Most tosses per coin: numpy's binomial computes a count in doubles, which hold every integer only up to 2**53.
+MAX_TOSSES = 2**53
+# Largest SVG scale, in pixels per unit side length; it keeps the canvas under 6 x 10^5 px a side,
+# where a finite but huge scale would write a width no viewer can draw.
+MAX_SCALE = 1e5
+
+
 def _as_float(value: Any, name: str, kind: type[ValueError], domain: str) -> float:
     """The one conversion of an input number: ``value`` as a float, or ``kind`` naming the field ``name``."""
     if not _is_number(value):

@@ -13,18 +13,13 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .core import BALL_CENTER, ProbabilityTriple, _as_float, _dot, _offset
+from .core import BALL_CENTER, MAX_SCALE, ProbabilityTriple, _as_float, _dot, _offset
 
 Region = Literal["cube", "ball"]
 
 # Offset of the ball's area maximisers from the center along (1, 1, 1):
 # the ball radius 1/2 divided by sqrt(3).
 _BALL_DIAGONAL_OFFSET = math.sqrt(3.0) / 6.0
-
-# Largest SVG scale, in pixels per unit side length; it keeps the canvas
-# under 6 x 10^5 px a side, where a finite but huge scale would write a
-# width no viewer can draw.
-MAX_SCALE = 1e5
 
 # Fixed canvas proportions for the SVG triad, in units of the scale factor.
 _SVG_PAD = 0.25

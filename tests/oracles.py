@@ -93,9 +93,9 @@ def reference_states(region: str, count: int, gen: np.random.Generator) -> list[
 
     Cube rows are kept as drawn. Ball rows are redrawn until the
     left-to-right sum of squared offsets from 1/2 is at most 1/4. Sphere
-    rows are standard normal directions, redrawn while their norm is 0 and
-    scaled onto the sphere of radius 1/2 around the center, with the norm
-    summed in order and rooted by ``math.sqrt``.
+    rows follow Marsaglia (Ann. Math. Stat. 43(2), 1972): two numbers at a
+    time, u and v = 2 x - 1, redrawn until s = u^2 + v^2 < 1, give the row
+    (1/2 + u sqrt(1 - s), 1/2 + v sqrt(1 - s), 1 - s).
     """
     states = []
     while len(states) < count:
@@ -107,11 +107,11 @@ def reference_states(region: str, count: int, gen: np.random.Generator) -> list[
             if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= 0.25:
                 states.append(tuple(point))
         elif region == "sphere":
-            x0, x1, x2 = gen.standard_normal(3).tolist()
-            norm = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-            if norm > 0.0:
-                scale = 0.5 / norm
-                states.append((0.5 + x0 * scale, 0.5 + x1 * scale, 0.5 + x2 * scale))
+            u, v = (2.0 * x - 1.0 for x in gen.random(2).tolist())
+            s = u * u + v * v
+            if s < 1.0:
+                k = math.sqrt(1.0 - s)
+                states.append((0.5 + u * k, 0.5 + v * k, 1.0 - s))
         else:
             raise ValueError(f"unknown region {region!r}")
     return states

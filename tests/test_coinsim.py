@@ -240,9 +240,11 @@ class TestSampleState:
         spec = sc.RngSpec(seed=77)
         assert sc.sample_states("ball", 1, spec)[0] == sc.sample_states("ball", 1, spec)[0]
 
-    def test_rejects_unknown_region(self):
+    @pytest.mark.parametrize("numpy_loaded", [True, False], ids=["numpy", "pure"])
+    def test_rejects_unknown_region(self, numpy_loaded, monkeypatch):
+        monkeypatch.setattr(coinsim, "_numpy_loaded", lambda: numpy_loaded)
         with pytest.raises(ValueError, match="region"):
-            sc.sample_states("torus", 1, sc.RngSpec(seed=0))[0]
+            sc.sample_states("torus", 1, sc.RngSpec(seed=0))
 
     def test_bulk_sampler_draws_sequentially(self):
         spec = sc.RngSpec(seed=5)
@@ -258,7 +260,7 @@ class TestSampleState:
         states = [s.as_tuple() for s in sc.sample_states(region, 20000, spec)]
         assert states == reference_states(region, 20000, spec.generator())
 
-    @pytest.mark.parametrize("region", ["cube", "ball"])
+    @pytest.mark.parametrize("region", ["cube", "ball", "sphere"])
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_without_numpy_the_pure_stream_draws_the_same_rows(self, region, seed, monkeypatch):
         spec = sc.RngSpec(seed, stream=3)
@@ -272,9 +274,8 @@ class TestSampleState:
         pure = sc.sample_states(region, coinsim._PURE_MAX_COUNT, spec)
         assert [s.as_tuple() for s in pure] == [s.as_tuple() for s in expected]
         assert all(type(v) is float for s in pure for v in s.as_tuple())
-        for beyond in ((region, coinsim._PURE_MAX_COUNT + 1), ("sphere", 1)):
-            with pytest.raises(RuntimeError, match="numpy path"):
-                sc.sample_states(*beyond, spec)
+        with pytest.raises(RuntimeError, match="numpy path"):
+            sc.sample_states(region, coinsim._PURE_MAX_COUNT + 1, spec)
 
     def test_bulk_sampler_rejects_zero_count(self):
         with pytest.raises(ValueError, match="count"):
@@ -287,6 +288,19 @@ class TestSampleState:
         monkeypatch.setattr(coinsim, "_draw", lambda region, gen, n: block)
         with pytest.raises(sc.InvalidProbabilityError, match="row 2"):
             sc.sample_states("cube", 4, sc.RngSpec(seed=0))
+
+    def test_a_pure_sphere_row_rounded_past_zero_goes_to_the_array_path(self, monkeypatch):
+        # u from the stream double 0x1.2bec333018874p-3 and v = 0 (from the double 1/2): the exact
+        # coordinate 1/2 + u sqrt(1 - s) is at least 0, and both paths round it to -2^-53.
+        u = 2.0 * float.fromhex("0x1.2bec333018874p-3") - 1.0
+        row = coinsim._on_sphere(u, 0.0, u * u + 0.0 * 0.0, math.sqrt)
+        array_row = coinsim._on_sphere(np.array([u]), np.zeros(1), np.array([u * u]), np.sqrt)
+        assert row[0] == -(2.0**-53) == array_row[0][0]
+        monkeypatch.setattr(coinsim, "_numpy_loaded", lambda: False)
+        monkeypatch.setattr(coinsim, "_pure_columns", lambda region, count, rng: tuple([x] for x in row))
+        monkeypatch.setattr(coinsim, "_draw", lambda region, gen, n: np.array([row]))
+        with pytest.raises(sc.InvalidProbabilityError, match="row 0"):
+            sc.sample_states("sphere", 1, sc.RngSpec(seed=0))
 
     @pytest.mark.parametrize("region", ["cube", "ball", "sphere"])
     def test_sampled_triples_are_ordinary_triples(self, region):

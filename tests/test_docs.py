@@ -23,11 +23,19 @@ def test_quickstart_blocks_run(doc):
 
 
 def test_all_lists_exactly_the_public_imported_names():
-    public = {
-        name
-        for name, value in vars(spincoins).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    # __all__ is the export table and __version__; dir() adds the module's own names and the four
+    # library modules, as importing every module eagerly would.
+    table = spincoins._EXPORTS
+    assert spincoins.__all__ == [*sorted(table), "__version__"]
+    names = set(dir(spincoins)) - {"cli", "_pcg64"}  # in dir() once an earlier test has imported them, as before
+    assert {name for name in names if not name.startswith("_")} == set(table) | set(table.values())
+    assert set(table.values()) == {"coinsim", "core", "observables", "suprematism"}
+    assert {name for name in names if name.startswith("_")} == {
+        "__all__", "__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__",
+        "__package__", "__path__", "__spec__", "__version__",
     }
-    assert sorted(spincoins.__all__) == sorted(public | {"__version__"})
-    for name in spincoins.__all__:
-        assert hasattr(spincoins, name), name
+    for name, module in table.items():
+        assert getattr(spincoins, name).__module__ == f"spincoins.{module}", name
+    assert isinstance(spincoins.coinsim, types.ModuleType)
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        spincoins.nonexistent
