@@ -192,7 +192,8 @@ def _draw(region: SampleRegion, gen: np.random.Generator, n: int) -> np.ndarray:
     A cube or ball draw is three doubles; ball rows are the cube rows with
     r^2 <= 1/4 (acceptance rate pi/6). A sphere draw is two doubles, u and
     v = 2 x - 1, kept when s = u^2 + v^2 < 1 (acceptance rate pi/4) and
-    mapped onto the sphere by ``_on_sphere``.
+    mapped onto the sphere by ``_on_sphere``, then clamped to [0, 1] as
+    ``sample_states`` clamps the pure rows.
     """
     import numpy as np
 
@@ -205,7 +206,7 @@ def _draw(region: SampleRegion, gen: np.random.Generator, n: int) -> np.ndarray:
     u, v = 2.0 * gen.random((n, 2)).T - 1.0
     s = u * u + v * v
     keep = s < 1.0
-    return np.column_stack(_on_sphere(u[keep], v[keep], s[keep], np.sqrt))
+    return np.clip(np.column_stack(_on_sphere(u[keep], v[keep], s[keep], np.sqrt)), 0.0, 1.0)
 
 
 def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[ProbabilityTriple]:
@@ -217,18 +218,19 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
     constructor ``ProbabilityTriple._from_columns``, which fills them column
     by column with no per-field validation and no Python code per triple.
     Without numpy loaded, up to ``_PURE_MAX_COUNT`` rows come from the
-    pure-Python stream, one draw at a time: the same rows, range-checked by
-    each column's least and greatest value.
+    pure-Python stream, one draw at a time: the same rows, which lie in
+    [0, 1] by construction or by the same clamp.
     """
     count = _as_int(count, "count", 1)
     if region not in ("cube", "ball", "sphere"):
         raise ValueError(f"region must be 'cube', 'ball' or 'sphere', got {region!r}")
     if not _numpy_loaded() and count <= _PURE_MAX_COUNT:
         columns = _pure_columns(region, count, rng)
-        # Rounding can take a sphere coordinate 2^-53 past 0 or 1, about once in 10^18 rows;
-        # the array path then draws the same rows and names that one.
-        if 0.0 <= min(map(min, columns)) and max(map(max, columns)) <= 1.0:
-            return ProbabilityTriple._from_columns(*columns)
+        # Rounding can take a sphere coordinate, whose exact value lies in [0, 1], 2^-53 past
+        # 0 or 1, about once in 10^18 rows. It is clamped, on both paths.
+        if not (0.0 <= min(map(min, columns)) and max(map(max, columns)) <= 1.0):
+            columns = tuple([min(max(x, 0.0), 1.0) for x in column] for column in columns)
+        return ProbabilityTriple._from_columns(*columns)
     import numpy as np
 
     gen = rng.generator()

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import spincoins as sc
+import spincoins._pcg64
 from spincoins import coinsim
 from oracles import binomial_pmf, chi_square_survival, reference_states
 
@@ -289,18 +290,29 @@ class TestSampleState:
         with pytest.raises(sc.InvalidProbabilityError, match="row 2"):
             sc.sample_states("cube", 4, sc.RngSpec(seed=0))
 
-    def test_a_pure_sphere_row_rounded_past_zero_goes_to_the_array_path(self, monkeypatch):
+    @pytest.mark.parametrize("numpy_loaded", [True, False], ids=["numpy", "pure"])
+    def test_a_sphere_coordinate_rounded_past_zero_is_clamped(self, numpy_loaded, monkeypatch):
         # u from the stream double 0x1.2bec333018874p-3 and v = 0 (from the double 1/2): the exact
         # coordinate 1/2 + u sqrt(1 - s) is at least 0, and both paths round it to -2^-53.
-        u = 2.0 * float.fromhex("0x1.2bec333018874p-3") - 1.0
-        row = coinsim._on_sphere(u, 0.0, u * u + 0.0 * 0.0, math.sqrt)
-        array_row = coinsim._on_sphere(np.array([u]), np.zeros(1), np.array([u * u]), np.sqrt)
-        assert row[0] == -(2.0**-53) == array_row[0][0]
-        monkeypatch.setattr(coinsim, "_numpy_loaded", lambda: False)
-        monkeypatch.setattr(coinsim, "_pure_columns", lambda region, count, rng: tuple([x] for x in row))
-        monkeypatch.setattr(coinsim, "_draw", lambda region, gen, n: np.array([row]))
-        with pytest.raises(sc.InvalidProbabilityError, match="row 0"):
-            sc.sample_states("sphere", 1, sc.RngSpec(seed=0))
+        doubles = [float.fromhex("0x1.2bec333018874p-3"), 0.5]
+        u = 2.0 * doubles[0] - 1.0
+        assert coinsim._on_sphere(u, 0.0, u * u + 0.0 * 0.0, math.sqrt)[0] == -(2.0**-53)
+
+        class Stream:
+            def __init__(self, seed, stream):
+                self.random = iter(doubles).__next__
+
+        class Generator:
+            def random(self, shape):
+                rows = np.zeros(shape)  # u = v = -1 lie outside the disc, so only the first pair is kept
+                rows[0] = doubles
+                return rows
+
+        monkeypatch.setattr(coinsim, "_numpy_loaded", lambda: numpy_loaded)
+        monkeypatch.setattr(spincoins._pcg64, "Stream", Stream)
+        monkeypatch.setattr(coinsim.RngSpec, "generator", lambda _spec: Generator())
+        row = sc.sample_states("sphere", 1, sc.RngSpec(seed=0))[0].as_tuple()
+        assert row == (0.0, 0.5, 1.0 - u * u)
 
     @pytest.mark.parametrize("region", ["cube", "ball", "sphere"])
     def test_sampled_triples_are_ordinary_triples(self, region):
