@@ -33,8 +33,8 @@ SEED_ENV_VAR = "SPINCOINS_SEED"
 DEFAULT_SEED = 0
 MAX_SAMPLE_COUNT = 10**5
 MAX_MOMENT_ORDER = 10**5
-# quantum-fraction needs O(block) memory for any count; this bounds its
-# time, which grows linearly with the count.
+# quantum-fraction counts in at most 2.2 MB of buffers for any count; this
+# bounds its time, which grows linearly with the count.
 MAX_QF_SAMPLES = 10**9
 # A decimal integer as int() spells one: a sign, digits of any script with single underscores
 # between them, and spaces around. int() refuses more than sys.get_int_max_str_digits() digits,

@@ -41,14 +41,14 @@ if TYPE_CHECKING:
 
 SampleRegion = Literal["cube", "ball", "sphere"]
 
-# Rows per array draw; bounds the samplers' temporaries at a few MB.
+# Rows per array draw, and in all of quantum_fraction's buffers together (33 bytes a row, 2.2 MB).
 _BLOCK_ROWS = 2**16
 # Most rows sample_states draws without numpy. Measured on a shared 2-CPU host: 5000 ball rows
 # took 30-50 ms in pure Python, against 80-110 ms for importing numpy and drawing them there.
 _PURE_MAX_COUNT = 5000
-# Most threads quantum_fraction splits its stream over; keeps each thread's
-# blocks large, so the Python held under the GIL per block stays small.
+# Most threads quantum_fraction splits its stream over; keeps blocks of at least 2^13 rows, with little Python per row.
 _MAX_WORKERS = 8
+_ACCEPTANCE = {"cube": 1.0, "ball": math.pi / 6, "sphere": math.pi / 4}  # share of draws kept; sizes each block
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,9 +236,7 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
     gen = rng.generator()
     blocks, held = [], 0
     while held < count:
-        # about 4/pi sphere draws give a row, so the first sphere block usually holds them all
-        n = math.ceil((count - held) * 4.0 / math.pi) if region == "sphere" else count
-        blocks.append(_draw(region, gen, min(n, _BLOCK_ROWS)))
+        blocks.append(_draw(region, gen, min(math.ceil((count - held) / _ACCEPTANCE[region]), _BLOCK_ROWS)))
         held += len(blocks[-1])
     rows = np.concatenate(blocks)[:count]
     in_range = (rows >= 0.0) & (rows <= 1.0)
@@ -280,29 +278,37 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _count_hits(gen: np.random.Generator, rows: np.ndarray, total: np.ndarray, in_ball: np.ndarray) -> int:
+    """Ball hits among the next ``len(rows)`` cube rows of ``gen``, counted in place in these buffers, in ``_dot``'s order."""
+    import numpy as np
+
+    gen.random(out=rows)
+    rows -= BALL_CENTER
+    rows *= rows
+    np.add(rows[:, 0], rows[:, 1], out=total)
+    total += rows[:, 2]
+    return int(np.count_nonzero(_in_ball(total, out=in_ball)))
+
+
 def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
     """Fraction of uniform cube samples that are quantum-admissible.
 
-    Converges to the ball/cube volume ratio pi/6 ~ 0.5235988 as the sample
-    count grows. The rows of one stream are split into contiguous chunks,
-    one per usable CPU (at most ``_MAX_WORKERS``, each of at least
-    ``_BLOCK_ROWS`` rows), counted in parallel threads; each chunk's
-    generator is advanced to the chunk's first row, so every row is the one
-    a sequential pass would draw and the result is bit-identical for any
-    CPU count. Each thread draws blocks of ``_BLOCK_ROWS // workers`` rows,
-    so memory is O(``_BLOCK_ROWS``) for any count; each block is centred in
-    place and its radius^2 summed with one running total.
+    Converges to the ball/cube volume ratio pi/6 ~ 0.5235988 as the sample count grows. The rows
+    of one stream are split into contiguous chunks, one per usable CPU (at most ``_MAX_WORKERS``,
+    each of at least ``_BLOCK_ROWS`` rows), counted in parallel threads from generators advanced
+    to each chunk's first row, so every row is the one a sequential pass would draw and the result
+    is bit-identical for any CPU count. Each thread allocates its buffers once, 33 bytes a row,
+    for blocks of ``_BLOCK_ROWS // max(2, workers)`` rows (a lone thread's 1.1 MB fit a core's
+    2 MB L2), so all buffers together hold at most ``_BLOCK_ROWS`` rows, 2.2 MB, for any count.
     """
     import numpy as np
 
     n_samples = _as_int(n_samples, "n_samples", 1000)
     workers = max(1, min(_usable_cpus(), n_samples // _BLOCK_ROWS, _MAX_WORKERS))
     bounds = [n_samples * k // workers for k in range(workers + 1)]
-    block = _BLOCK_ROWS // workers
-    # Built and advanced here, in the calling thread, so the threads call only
-    # private helpers. Each double from Generator.random takes one 64-bit
-    # output, so row r starts at output 3r; RngSpec builds only PCG64, which
-    # has advance.
+    block = min(_BLOCK_ROWS // max(2, workers), n_samples)  # a lone worker's chunk may be shorter than its block
+    # Built and advanced in the calling thread, so the threads call only private helpers. Row r starts
+    # at 64-bit output 3r, one per double; RngSpec builds only PCG64, which has advance.
     gens = [rng.generator() for _ in range(workers)]
     for gen, first in zip(gens, bounds):
         gen.bit_generator.advance(3 * first)
@@ -311,12 +317,11 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
 
     def count(k: int) -> None:
         try:
+            buffers = np.empty((block, 3)), np.empty(block), np.empty(block, dtype=bool)
             for start in range(bounds[k], bounds[k + 1], block):
-                if errors:  # another chunk failed; the count is lost anyway
+                if errors:  # another chunk failed, or the caller was interrupted; the count is lost anyway
                     return
-                rows = _draw("cube", gens[k], min(block, bounds[k + 1] - start))
-                rows -= BALL_CENTER
-                hits[k] += int(np.count_nonzero(_in_ball(_dot(rows.T, rows.T))))
+                hits[k] += _count_hits(gens[k], *(buffer[: bounds[k + 1] - start] for buffer in buffers))
         except BaseException as exc:  # re-raised in the caller; a thread would drop it
             errors.append(exc)
 
@@ -324,8 +329,12 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
     for thread in threads:
         thread.start()
     count(0)
-    for thread in threads:
-        thread.join()
+    try:
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:  # Ctrl-C in a join: stop the threads, whose count is lost
+        errors.append(exc)
+        raise
     if errors:
         raise errors[0]
     return sum(hits) / n_samples

@@ -59,17 +59,18 @@ class NonQuantumStateError(CoinStateError):
 def _dot(u, v):
     """Inner product (u0 v0 + u1 v1) + u2 v2 of two 3-vectors: the one home of the quadratic forms in d = p - 1/2.
 
-    Takes sequences of floats or of equally shaped arrays. The sum runs left
-    to right, the order the samplers' pinned streams depend on; on arrays
-    numpy adds each product into the running total in place, so the only
-    temporaries are the total and one product.
+    Takes sequences of floats or of equally shaped arrays. The sum runs left to right, the order
+    the samplers' pinned streams depend on; on arrays numpy adds each product into the running
+    total in place, with the total and one product as the only temporaries. ``quantum_fraction``
+    writes the same sum of squares, in the same order, in place in its own buffers.
     """
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _in_ball(radius_squared):
-    """The one ball test, of a float or array; only the ball sampler keeps a strict <= 1/4: its rows lie in the ball."""
-    return radius_squared <= BALL_RADIUS_SQ + QUANTUM_BALL_ATOL
+def _in_ball(radius_squared, out=None):
+    """The one ball test, of a float or array, into the bool array ``out`` if given; the ball sampler keeps a strict <= 1/4."""
+    bound = BALL_RADIUS_SQ + QUANTUM_BALL_ATOL
+    return radius_squared <= bound if out is None else sys.modules["numpy"].less_equal(radius_squared, bound, out=out)
 
 
 def _offset(p: ProbabilityTriple) -> tuple[float, float, float]:

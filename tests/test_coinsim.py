@@ -9,6 +9,8 @@ import re
 import statistics
 import sys
 import threading
+import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -368,7 +370,9 @@ class TestQuantumFraction:
         # Each chunk's generator is advanced to its first row, so splitting
         # the stream over threads changes no row and no count. A short switch
         # interval makes the threads interleave often, so a lost update shows.
-        sizes = (1000, 123457, 3 * 2**16 + 1, 10**7)
+        # b is a lone worker's block: b - 1 and b rows fill one block, b + 1 and 2b + 1 end on a one-row block.
+        b = coinsim._BLOCK_ROWS // 2
+        sizes = (1000, b - 1, b, b + 1, 2 * b + 1, 123457, 3 * 2**16 + 1, 10**7)
         fractions = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -381,27 +385,73 @@ class TestQuantumFraction:
         assert all(values == fractions[1] for values in fractions.values())
 
     @staticmethod
-    def _draw_failing_off_the_main_thread(monkeypatch):
-        draw = coinsim._draw
+    def _block_failing_off_the_main_thread(monkeypatch):
+        count_hits = coinsim._count_hits
 
-        def failing(region, gen, n):
+        def failing(*args):
             if threading.current_thread() is not threading.main_thread():
                 raise MemoryError("draw failed in a worker")
-            return draw(region, gen, n)
+            return count_hits(*args)
 
         monkeypatch.setattr(coinsim, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(coinsim, "_draw", failing)
+        monkeypatch.setattr(coinsim, "_count_hits", failing)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        self._draw_failing_off_the_main_thread(monkeypatch)
+        self._block_failing_off_the_main_thread(monkeypatch)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="draw failed in a worker"):
             sc.quantum_fraction(10**6, sc.RngSpec(seed=0))
         assert threading.active_count() == before
 
     def test_no_thread_below_one_block(self, monkeypatch):
-        self._draw_failing_off_the_main_thread(monkeypatch)
+        self._block_failing_off_the_main_thread(monkeypatch)
         assert 0.0 < sc.quantum_fraction(coinsim._BLOCK_ROWS - 1, sc.RngSpec(seed=0)) < 1.0
+
+    def test_an_interrupted_join_stops_the_workers(self, monkeypatch):
+        # Ctrl-C while the caller joins a worker raises KeyboardInterrupt there; the worker must stop
+        # drawing a count that is lost. The join raises before it waits, so the worker can be joined
+        # afterwards, and each worker block is slowed so that the worker is still running then.
+        count_hits, join = coinsim._count_hits, threading.Thread.join
+        interrupted = threading.Event()
+        after_interrupt = []  # one entry per worker block begun after the interrupt
+        workers = []
+
+        def slow(*args):
+            if threading.current_thread() is not threading.main_thread():
+                if interrupted.is_set():
+                    after_interrupt.append(1)
+                time.sleep(0.02)
+            return count_hits(*args)
+
+        def interrupted_join(thread, timeout=None):
+            monkeypatch.setattr(threading.Thread, "join", join)  # raise once
+            workers.append(thread)
+            interrupted.set()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(coinsim, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(coinsim, "_count_hits", slow)
+        monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+        with pytest.raises(KeyboardInterrupt):
+            sc.quantum_fraction(10**6, sc.RngSpec(seed=0))  # the worker's chunk is 16 blocks
+        workers[0].join(timeout=30)
+        assert not workers[0].is_alive()
+        assert len(after_interrupt) <= 2
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    def test_working_memory_stays_within_the_buffer_bound(self, cpus, n, monkeypatch):
+        # All workers' buffers together hold at most _BLOCK_ROWS rows of 33 bytes: three doubles,
+        # one double of running total and one bool. 64 KiB covers the Python objects around them.
+        monkeypatch.setattr(coinsim, "_usable_cpus", lambda: cpus)
+        sc.quantum_fraction(n, sc.RngSpec(seed=0))  # imports numpy and warms its caches first
+        tracemalloc.start()
+        try:
+            sc.quantum_fraction(n, sc.RngSpec(seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= coinsim._BLOCK_ROWS * 33 + 64 * 1024
 
     def test_without_an_affinity_mask_the_cpu_count_sets_the_workers(self, monkeypatch):
         # Platforms without os.sched_getaffinity (macOS, Windows) fall back on os.cpu_count,
