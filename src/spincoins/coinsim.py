@@ -41,7 +41,7 @@ if TYPE_CHECKING:
 
 SampleRegion = Literal["cube", "ball", "sphere"]
 
-# Rows per array draw, and in all of quantum_fraction's buffers together (33 bytes a row, 2.2 MB).
+# Rows per array draw, and in all of quantum_fraction's buffers and masks together (33 bytes a row, 2.2 MB).
 _BLOCK_ROWS = 2**16
 # Most rows sample_states draws without numpy. Measured on a shared 2-CPU host: 5000 ball rows
 # took 30-50 ms in pure Python, against 80-110 ms for importing numpy and drawing them there.
@@ -278,7 +278,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _count_hits(gen: np.random.Generator, rows: np.ndarray, total: np.ndarray, in_ball: np.ndarray) -> int:
+def _count_hits(gen: np.random.Generator, rows: np.ndarray, total: np.ndarray) -> int:
     """Ball hits among the next ``len(rows)`` cube rows of ``gen``, counted in place in these buffers, in ``_dot``'s order."""
     import numpy as np
 
@@ -287,7 +287,7 @@ def _count_hits(gen: np.random.Generator, rows: np.ndarray, total: np.ndarray, i
     rows *= rows
     np.add(rows[:, 0], rows[:, 1], out=total)
     total += rows[:, 2]
-    return int(np.count_nonzero(_in_ball(total, out=in_ball)))
+    return int(np.count_nonzero(_in_ball(total)))
 
 
 def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
@@ -297,9 +297,9 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
     of one stream are split into contiguous chunks, one per usable CPU (at most ``_MAX_WORKERS``,
     each of at least ``_BLOCK_ROWS`` rows), counted in parallel threads from generators advanced
     to each chunk's first row, so every row is the one a sequential pass would draw and the result
-    is bit-identical for any CPU count. Each thread allocates its buffers once, 33 bytes a row,
-    for blocks of ``_BLOCK_ROWS // max(2, workers)`` rows (a lone thread's 1.1 MB fit a core's
-    2 MB L2), so all buffers together hold at most ``_BLOCK_ROWS`` rows, 2.2 MB, for any count.
+    is bit-identical for any CPU count. Each thread allocates its buffers once, 32 bytes a row, for
+    blocks of ``_BLOCK_ROWS // max(2, workers)`` rows (a lone thread's 1.1 MB fit a core's 2 MB L2);
+    with each block's 1-byte ball-test mask, all of them hold at most ``_BLOCK_ROWS`` rows, 2.2 MB.
     """
     import numpy as np
 
@@ -317,7 +317,7 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
 
     def count(k: int) -> None:
         try:
-            buffers = np.empty((block, 3)), np.empty(block), np.empty(block, dtype=bool)
+            buffers = np.empty((block, 3)), np.empty(block)
             for start in range(bounds[k], bounds[k + 1], block):
                 if errors:  # another chunk failed, or the caller was interrupted; the count is lost anyway
                     return

@@ -67,10 +67,9 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _in_ball(radius_squared, out=None):
-    """The one ball test, of a float or array, into the bool array ``out`` if given; the ball sampler keeps a strict <= 1/4."""
-    bound = BALL_RADIUS_SQ + QUANTUM_BALL_ATOL
-    return radius_squared <= bound if out is None else sys.modules["numpy"].less_equal(radius_squared, bound, out=out)
+def _in_ball(radius_squared):
+    """The one ball test, of a float or array; only the ball sampler keeps a strict <= 1/4: its rows lie in the ball."""
+    return radius_squared <= BALL_RADIUS_SQ + QUANTUM_BALL_ATOL
 
 
 def _offset(p: ProbabilityTriple) -> tuple[float, float, float]:

@@ -442,7 +442,7 @@ class TestQuantumFraction:
     @pytest.mark.parametrize("n", [10**5, 10**6])
     def test_working_memory_stays_within_the_buffer_bound(self, cpus, n, monkeypatch):
         # All workers' buffers together hold at most _BLOCK_ROWS rows of 33 bytes: three doubles,
-        # one double of running total and one bool. 64 KiB covers the Python objects around them.
+        # one double of running total and the one-byte mask of a block's ball test. 64 KiB covers the Python objects around them.
         monkeypatch.setattr(coinsim, "_usable_cpus", lambda: cpus)
         sc.quantum_fraction(n, sc.RngSpec(seed=0))  # imports numpy and warms its caches first
         tracemalloc.start()
