@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 on domain errors (invalid probability,
 non-Hermitian matrix, non-quantum state, a result too large for a finite
 JSON number), 2 on usage errors (unknown subcommand, bad flags, malformed
-JSON such as NaN or Infinity, a payload file that is not UTF-8). Stdout
+JSON such as NaN or Infinity, a payload file that is not UTF-8, an
+``--out`` file or a stdout that cannot be written). Stdout
 is strict JSON, never NaN or Infinity, and stays empty on an error.
 Output is byte deterministic for identical argv and seed; the default
 seed can be overridden with the ``SPINCOINS_SEED`` environment variable.
@@ -245,26 +246,32 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     _help, arguments, compute = _SUBCOMMANDS[args.command]
-    payload = None
+    payload = text = None
     try:
         payload = compute(*[_checked(args, name, kind) for name, kind, *_ in arguments])
-        text = None if payload is None else json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        if payload is not None:
+            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+            out.write(text)
+            out.flush()
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except OSError as exc:  # an --out file, or stdout, that cannot be written
+        if text is not None and stdout is None:
+            # What stdout's buffer still holds goes to devnull, so the exit-time flush has no error to report.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"usage error: cannot write output ({exc.strerror})", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
         # an overflow, or an inf or NaN that json.dumps refused, which with finite inputs only an overflow makes
-        too_large = isinstance(exc, OverflowError) or payload is not None
+        too_large = isinstance(exc, OverflowError) or (payload is not None and text is None)
         print(f"error: {'a result too large for a finite JSON number' if too_large else exc}", file=sys.stderr)
         return 1
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 1
-    if text is not None:
-        out.write(text)
     return 0
 
 

@@ -3,13 +3,22 @@
 The three coins are always tossed independently. The quantum-ball
 constraint restricts which parameter triples describe a qubit; it does not
 correlate the toss outcomes themselves. Every sampler takes an explicit
-:class:`RngSpec` so results are bit-for-bit reproducible. The array
-paths draw through numpy in bounded blocks. A process that has not
-imported numpy draws its tosses and small samples from a pure-Python copy
-of the same PCG64 stream (``spincoins._pcg64``), which gives the same
-numbers without paying numpy's import. Every sampler maps uniform doubles
-with IEEE-exact operations only, so both streams give the same rows: the
-sphere's by Marsaglia's method (Ann. Math. Stat. 43(2), 1972).
+:class:`RngSpec` so results are bit-for-bit reproducible. There are three
+ways to draw its one PCG64 stream, and they give the same numbers:
+
+- numpy's ``Generator``, which the array paths draw through in bounded
+  blocks, in a process that has imported ``numpy.random``, and for every
+  count above the two below;
+- the pure-Python copy ``spincoins._pcg64.Stream``, one draw at a time, for
+  tosses and samples of up to ``_PURE_MAX_COUNT`` rows in a process that has
+  not imported numpy, which it spares numpy's import;
+- that copy's vectorised ``fill``, in numpy's uint64 arithmetic, for a
+  ``quantum_fraction`` count below two blocks in a process that has imported
+  numpy but not ``numpy.random``, which it spares that import.
+
+Every sampler maps uniform doubles with IEEE-exact operations only, so each
+way gives the same rows: the sphere's by Marsaglia's method (Ann. Math. Stat.
+43(2), 1972).
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Literal
+from typing import TYPE_CHECKING, Callable, ClassVar, Literal
 
 from .core import (
     BALL_CENTER,
@@ -81,6 +90,11 @@ class RngSpec:
 def _numpy_loaded() -> bool:
     """Whether this process has imported numpy; if not, tosses and small samples are drawn without it."""
     return "numpy" in sys.modules
+
+
+def _numpy_random_loaded() -> bool:
+    """Whether this process has imported ``numpy.random``; if not, ``quantum_fraction`` counts below two blocks without it."""
+    return "numpy.random" in sys.modules
 
 
 _COUNT_NAMES = tuple(f"heads_counts[{k}]" for k in range(3))
@@ -278,11 +292,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _count_hits(gen: np.random.Generator, rows: np.ndarray, total: np.ndarray) -> int:
-    """Ball hits among the next ``len(rows)`` cube rows of ``gen``, counted in place in these buffers, in ``_dot``'s order."""
+def _count_hits(random: Callable[..., object], rows: np.ndarray, total: np.ndarray) -> int:
+    """Ball hits among the next ``len(rows)`` cube rows that ``random(out=rows)`` draws, counted in place in these buffers, in ``_dot``'s order."""
     import numpy as np
 
-    gen.random(out=rows)
+    random(out=rows)
     rows -= BALL_CENTER
     rows *= rows
     np.add(rows[:, 0], rows[:, 1], out=total)
@@ -293,7 +307,11 @@ def _count_hits(gen: np.random.Generator, rows: np.ndarray, total: np.ndarray) -
 def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
     """Fraction of uniform cube samples that are quantum-admissible.
 
-    Converges to the ball/cube volume ratio pi/6 ~ 0.5235988 as the sample count grows. The rows
+    Converges to the ball/cube volume ratio pi/6 ~ 0.5235988 as the sample count grows. Below
+    ``2 * _BLOCK_ROWS`` samples, where one thread counts them all, a process that has not
+    imported ``numpy.random`` fills its rows through ``_pcg64.Stream.fill`` and does not import it:
+    the same rows, in numpy's uint64 arithmetic. Otherwise the rows come from numpy's ``Generator``:
+    at ``2 * _BLOCK_ROWS`` rows the fill's slower loop already costs about what the import saves. The rows
     of one stream are split into contiguous chunks, one per usable CPU (at most ``_MAX_WORKERS``,
     each of at least ``_BLOCK_ROWS`` rows), counted in parallel threads from generators advanced
     to each chunk's first row, so every row is the one a sequential pass would draw and the result
@@ -307,11 +325,17 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
     workers = max(1, min(_usable_cpus(), n_samples // _BLOCK_ROWS, _MAX_WORKERS))
     bounds = [n_samples * k // workers for k in range(workers + 1)]
     block = min(_BLOCK_ROWS // max(2, workers), n_samples)  # a lone worker's chunk may be shorter than its block
-    # Built and advanced in the calling thread, so the threads call only private helpers. Row r starts
-    # at 64-bit output 3r, one per double; RngSpec builds only PCG64, which has advance.
-    gens = [rng.generator() for _ in range(workers)]
-    for gen, first in zip(gens, bounds):
-        gen.bit_generator.advance(3 * first)
+    if n_samples < 2 * _BLOCK_ROWS and not _numpy_random_loaded():  # a lone worker, which fills its rows itself
+        from ._pcg64 import Stream
+
+        draws = [Stream(rng.seed, rng.stream).fill]
+    else:
+        # Built and advanced in the calling thread, so the threads call only private helpers. Row r starts
+        # at 64-bit output 3r, one per double; RngSpec builds only PCG64, which has advance.
+        gens = [rng.generator() for _ in range(workers)]
+        for gen, first in zip(gens, bounds):
+            gen.bit_generator.advance(3 * first)
+        draws = [gen.random for gen in gens]
     hits = [0] * workers
     errors: list[BaseException] = []
 
@@ -321,7 +345,7 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
             for start in range(bounds[k], bounds[k + 1], block):
                 if errors:  # another chunk failed, or the caller was interrupted; the count is lost anyway
                     return
-                hits[k] += _count_hits(gens[k], *(buffer[: bounds[k + 1] - start] for buffer in buffers))
+                hits[k] += _count_hits(draws[k], *(buffer[: bounds[k + 1] - start] for buffer in buffers))
         except BaseException as exc:  # re-raised in the caller; a thread would drop it
             errors.append(exc)
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -375,6 +377,26 @@ class TestExitCodes:
         code, _ = run_cli(["render", STATE_MIXED, "--out", str(tmp_path / "missing" / "x.svg")])
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
+
+    def test_usage_error_unwritable_stdout(self, capsys):
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        code = run(["validate", STATE_MIXED], stdout=FullStdout())
+        assert code == 2
+        assert capsys.readouterr().err == f"usage error: cannot write output ({os.strerror(errno.ENOSPC)})\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device every write to fails")
+    def test_full_stdout_exits_2_without_a_traceback(self):
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "spincoins.cli", "validate", STATE_MIXED],
+                stdout=full, stderr=subprocess.PIPE, text=True, check=False, timeout=60,
+            )
+        assert result.returncode == 2
+        assert result.stderr == f"usage error: cannot write output ({os.strerror(errno.ENOSPC)})\n"
+        assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
 
 
 # The first golden argv of each subcommand: a valid call that a repeated flag can override.

@@ -371,18 +371,22 @@ class TestQuantumFraction:
         # the stream over threads changes no row and no count. A short switch
         # interval makes the threads interleave often, so a lost update shows.
         # b is a lone worker's block: b - 1 and b rows fill one block, b + 1 and 2b + 1 end on a one-row block.
+        # Below 4b = 2^17 rows, a process without numpy.random fills them through the pure stream: both paths
+        # give every count, and 4b - 1 and 4b are the last count on that path and the first past it.
         b = coinsim._BLOCK_ROWS // 2
-        sizes = (1000, b - 1, b, b + 1, 2 * b + 1, 123457, 3 * 2**16 + 1, 10**7)
+        sizes = (1000, b - 1, b, b + 1, 2 * b + 1, 123457, 3 * 2**16 + 1, 4 * b - 1, 4 * b, 10**7)
         fractions = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for cpus in (1, 2, 3, 5, 8):
-                monkeypatch.setattr(coinsim, "_usable_cpus", lambda cpus=cpus: cpus)
-                fractions[cpus] = [sc.quantum_fraction(n, sc.RngSpec(seed=1)) for n in sizes]
+            for numpy_random in (True, False):
+                monkeypatch.setattr(coinsim, "_numpy_random_loaded", lambda numpy_random=numpy_random: numpy_random)
+                for cpus in (1, 2, 3, 5, 8):
+                    monkeypatch.setattr(coinsim, "_usable_cpus", lambda cpus=cpus: cpus)
+                    fractions[numpy_random, cpus] = [sc.quantum_fraction(n, sc.RngSpec(seed=1)) for n in sizes]
         finally:
             sys.setswitchinterval(interval)
-        assert all(values == fractions[1] for values in fractions.values())
+        assert all(values == fractions[True, 1] for values in fractions.values())
 
     @staticmethod
     def _block_failing_off_the_main_thread(monkeypatch):

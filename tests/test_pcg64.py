@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from spincoins import coinsim
-from spincoins._pcg64 import Stream
+from spincoins._pcg64 import _CHUNK, Stream
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 RANDOM_SEEDS = [random.Random(19).getrandbits(64) for _ in range(5)]
@@ -80,3 +81,35 @@ TAIL_REJECTIONS = {
 def test_btpe_tail_rejections_match_generator_binomial(case):
     seed, n, p = TAIL_REJECTIONS[case]
     assert Stream(seed, 0).binomial(n, p) == coinsim.RngSpec(seed).generator().binomial(n, p)
+
+
+# One double, either side of a chunk, one past two chunks, and a lone worker's whole block of quantum_fraction rows.
+FILL_SHAPES = [(1,), (_CHUNK - 1,), (_CHUNK,), (_CHUNK + 1,), (2 * _CHUNK + 1,), (coinsim._BLOCK_ROWS // 2, 3)]
+
+
+@pytest.mark.parametrize("shape", FILL_SHAPES, ids=[str(shape) for shape in FILL_SHAPES])
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_fill_matches_generator_random_and_leaves_its_state(seed, stream, shape):
+    pure, reference = Stream(seed, stream), coinsim.RngSpec(seed, stream).generator()
+    out = np.empty(shape)
+    pure.fill(out)
+    assert np.array_equal(out, reference.random(shape))
+    # the state the fill leaves: the next doubles, and binomials by inversion and by BTPE, follow numpy's
+    assert [pure.random() for _ in range(5)] == reference.random(5).tolist()
+    assert [pure.binomial(n, 0.3) for n in (20, 10**6)] == [reference.binomial(n, 0.3) for n in (20, 10**6)]
+    # and so does a second fill, from a state no fill started at
+    pure.fill(out)
+    assert np.array_equal(out, reference.random(shape))
+
+
+def test_fill_refuses_an_array_it_cannot_write_in_order():
+    for out in (np.empty((4, 3))[:, :2], np.empty(8, np.float32)):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            Stream(0, 0).fill(out)
+
+
+def test_fill_of_nothing_draws_nothing():
+    pure = Stream(3, 0)
+    pure.fill(np.empty((0, 3)))
+    assert pure.random() == coinsim.RngSpec(3).generator().random()

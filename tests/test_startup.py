@@ -2,9 +2,10 @@
 
 The scalar entry points, tosses and samples of up to 5000 rows in any
 region run without importing numpy; quantum-fraction and larger samples
-load it and still work. Each call's stdout in a fresh process equals the
-same call made in this one, where numpy is imported, so the pure-Python
-stream draws what numpy draws.
+load it and still work, and quantum-fraction below 2^17 samples loads no
+``numpy.random``. Each call's stdout in a fresh process equals the same
+call made in this one, where ``numpy.random`` is imported, so the
+pure-Python stream and its vectorised fill draw what numpy draws.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import subprocess
 import sys
 
-import numpy  # loaded, so the in-process reference draws through numpy itself
+import numpy.random  # loaded, so the in-process reference draws through numpy itself
 import pytest
 
 from spincoins.cli import run
@@ -27,7 +28,7 @@ OBS = '{"x": 1, "y": 0, "z1": 1, "z2": -1}'
 SKEWED = '{"p1": 0.3, "p2": 0.6, "p3": 0.85}'
 
 # Runs in a fresh interpreter: imports the package or runs one CLI call, then prints the exit
-# code, the captured stdout, the spincoins modules loaded and whether numpy got imported.
+# code, the captured stdout, the spincoins modules loaded and whether numpy and numpy.random got imported.
 PROBE = """
 import io, json, sys
 argv = json.loads(sys.argv[1])
@@ -39,7 +40,8 @@ else:
     from spincoins import cli
     code = cli.run(argv, stdout=out)
 modules = sorted(name for name in sys.modules if name.partition(".")[0] == "spincoins")
-print(json.dumps({"code": code, "stdout": out.getvalue(), "modules": modules, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"code": code, "stdout": out.getvalue(), "modules": modules, "numpy": "numpy" in sys.modules,
+                  "numpy.random": "numpy.random" in sys.modules}))
 """
 
 # The modules a call loads beyond the package, the CLI and core.
@@ -77,9 +79,13 @@ SCALAR_CALLS = {
     "sample-sphere-most-pure-rows": (["sample", "--region", "sphere", "--count", "5000", "--seed", str(2**64 - 1)], 0, PURE_SAMPLE),
 }
 
+# name -> (argv, the modules it loads beyond the package, the CLI and core, whether it imports numpy.random)
 ARRAY_CALLS = {
-    "sample-beyond-pure-count": ["sample", "--region", "cube", "--count", "5001", "--seed", "3"],
-    "quantum-fraction": ["quantum-fraction", "--n-samples", "1000", "--seed", "3"],
+    "sample-beyond-pure-count": (["sample", "--region", "cube", "--count", "5001", "--seed", "3"], ("coinsim",), True),
+    # below two blocks, quantum-fraction fills its rows through the pure stream's uint64 arithmetic
+    "quantum-fraction": (["quantum-fraction", "--n-samples", "100000", "--seed", "3"], ("coinsim", "_pcg64"), False),
+    "quantum-fraction-fewest": (["quantum-fraction", "--n-samples", "1000", "--seed", "3"], ("coinsim", "_pcg64"), False),
+    "quantum-fraction-two-blocks": (["quantum-fraction", "--n-samples", str(2**17), "--seed", "3"], ("coinsim",), True),
 }
 
 
@@ -91,7 +97,7 @@ def probe(argv: list[str] | None) -> dict:
 
 
 def in_process(argv: list[str]) -> tuple[int, str]:
-    assert "numpy" in sys.modules
+    assert "numpy.random" in sys.modules
     buffer = io.StringIO()
     return run(argv, stdout=buffer), buffer.getvalue()
 
@@ -119,12 +125,14 @@ def test_scalar_entry_points_never_import_numpy(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(ARRAY_CALLS))
 def test_array_subcommands_import_numpy_and_still_work(name):
-    report = probe(ARRAY_CALLS[name])
+    argv, extra, numpy_random = ARRAY_CALLS[name]
+    report = probe(argv)
     assert report["code"] == 0
-    assert report["modules"] == loaded("coinsim")
+    assert report["modules"] == loaded(*extra)
     assert report["numpy"] is True
+    assert report["numpy.random"] is numpy_random
     assert report["stdout"]
-    assert (report["code"], report["stdout"]) == in_process(ARRAY_CALLS[name])
+    assert (report["code"], report["stdout"]) == in_process(argv)
 
 
 # Every (count, seed, stream) of the sphere check: one row, two rows and the most the pure stream draws.
