@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -251,17 +252,21 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
         payload = compute(*[_checked(args, name, kind) for name, kind, *_ in arguments])
         if payload is not None:
             text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+            if out is None:  # the process started with stdout closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             out.write(text)
             out.flush()
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # an --out file, or stdout, that cannot be written
-        if text is not None and stdout is None:
+        if text is not None and stdout is None and sys.stdout is not None:
             # What stdout's buffer still holds goes to devnull, so the exit-time flush has no error to report.
             devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
         print(f"usage error: cannot write output ({exc.strerror})", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
