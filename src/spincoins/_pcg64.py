@@ -1,18 +1,15 @@
-"""numpy's seeded PCG64 stream in pure Python, for processes that have not imported numpy.
+"""numpy's seeded PCG64 stream without ``numpy.random``: in pure Python, or filled in numpy's uint64 arithmetic.
 
 ``Stream(seed, stream)`` gives, draw for draw, what ``RngSpec(seed, stream).generator()``
 gives: the same seeding, ``SeedSequence(entropy=seed, spawn_key=(stream,))`` then
-``PCG64`` (O'Neill, HMC-CS-2014-0905); ``random()`` as ``Generator.random``; and
+``PCG64`` (O'Neill, HMC-CS-2014-0905); ``random()`` as ``Generator.random``;
 ``binomial(n, p)`` as ``Generator.binomial`` for n up to 2**53, by numpy's
 inversion and BTPE branches (Kachitvichyanukul & Schmeiser, CACM 31(2), 1988);
-and ``fill(out)`` as ``Generator.random(out=out)``, with numpy's uint64
-arithmetic but without ``numpy.random``. ``fill`` steps many LCG states at once
-by jump-ahead constants (Brown, "Random number generation with arbitrary
-strides", Trans. ANS 71, 1994), each state a pair of uint64 words. The scalar
-draws serve processes that have not imported numpy; ``fill`` serves
-``quantum_fraction`` in a process that has imported numpy but not
-``numpy.random``, for counts below two blocks, where it costs less than that
-import. The tests compare each draw with numpy's.
+and ``fill(out)``, for a C-contiguous float64 ``out`` of at least one element,
+as ``Generator.random(out=out)``. ``fill`` steps many LCG states at once by
+jump-ahead constants (Brown, "Random number generation with arbitrary
+strides", Trans. ANS 71, 1994), each state a pair of uint64 words. The tests
+compare each draw with numpy's.
 """
 
 from __future__ import annotations
@@ -99,19 +96,16 @@ class Stream:
         return (((value >> rotation | value << 64 - rotation) & _MASK64) >> 11) * 2.0**-53
 
     def fill(self, out: np.ndarray) -> None:
-        """Write the next ``out.size`` doubles into the C-contiguous float64 array ``out``, as ``Generator.random(out=out)`` does.
+        """Write the next ``out.size`` doubles into ``out``, as ``Generator.random(out=out)`` does.
 
+        ``out`` must be a C-contiguous float64 array of at least one element; neither is checked.
         The first chunk's states grow from one LCG step by leapfrog: the next k states are
         a s + c of the k so far, and (a, c) becomes (a^2, a c + c), the jump of 2k steps.
         Each later chunk is the one before it moved by the jump of a whole chunk.
         """
         import numpy as np
 
-        if out.dtype != np.float64 or not out.flags.c_contiguous:
-            raise ValueError("out must be a C-contiguous float64 array")
         flat, n = out.reshape(-1), out.size
-        if n == 0:
-            return
         state = (self._state * _MULTIPLIER + self._increment) & _MASK128
         lo, hi = np.array([state & _MASK64], np.uint64), np.array([state >> 64], np.uint64)
         mult, add, size = _MULTIPLIER, self._increment, min(n, _CHUNK)

@@ -35,7 +35,6 @@ from .core import (
     BALL_RADIUS_SQ,
     MAX_SEED,
     MAX_TOSSES,
-    InvalidProbabilityError,
     ProbabilityTriple,
     _as_int,
     _dot,
@@ -207,7 +206,7 @@ def _draw(region: SampleRegion, gen: np.random.Generator, n: int) -> np.ndarray:
     r^2 <= 1/4 (acceptance rate pi/6). A sphere draw is two doubles, u and
     v = 2 x - 1, kept when s = u^2 + v^2 < 1 (acceptance rate pi/4) and
     mapped onto the sphere by ``_on_sphere``, then clamped to [0, 1] as
-    ``sample_states`` clamps the pure rows.
+    ``_pure_columns`` clamps its sphere rows.
     """
     import numpy as np
 
@@ -226,25 +225,19 @@ def _draw(region: SampleRegion, gen: np.random.Generator, n: int) -> np.ndarray:
 def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[ProbabilityTriple]:
     """Draw ``count`` triples sequentially from a single stream: its first ``count`` accepted rows.
 
-    The rows are range-checked once, as one array, and a row outside
-    [0, 1] (NaN included) raises :class:`InvalidProbabilityError` naming
-    it. The checked rows then become triples through the trusted bulk
-    constructor ``ProbabilityTriple._from_columns``, which fills them column
-    by column with no per-field validation and no Python code per triple.
-    Without numpy loaded, up to ``_PURE_MAX_COUNT`` rows come from the
-    pure-Python stream, one draw at a time: the same rows, which lie in
-    [0, 1] by construction or by the same clamp.
+    Each path bounds its rows in [0, 1] where it builds them, ``_draw`` and
+    ``_pure_columns`` alike, so they are not checked again: they become
+    triples through the trusted bulk constructor
+    ``ProbabilityTriple._from_columns``, which fills them column by column
+    with no per-field validation and no Python code per triple. Without
+    numpy loaded, up to ``_PURE_MAX_COUNT`` rows come from the pure-Python
+    stream, one draw at a time: the same rows.
     """
     count = _as_int(count, "count", 1)
     if region not in ("cube", "ball", "sphere"):
         raise ValueError(f"region must be 'cube', 'ball' or 'sphere', got {region!r}")
     if not _numpy_loaded() and count <= _PURE_MAX_COUNT:
-        columns = _pure_columns(region, count, rng)
-        # Rounding can take a sphere coordinate, whose exact value lies in [0, 1], 2^-53 past
-        # 0 or 1, about once in 10^18 rows. It is clamped, on both paths.
-        if not (0.0 <= min(map(min, columns)) and max(map(max, columns)) <= 1.0):
-            columns = tuple([min(max(x, 0.0), 1.0) for x in column] for column in columns)
-        return ProbabilityTriple._from_columns(*columns)
+        return ProbabilityTriple._from_columns(*_pure_columns(region, count, rng))
     import numpy as np
 
     gen = rng.generator()
@@ -252,12 +245,7 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
     while held < count:
         blocks.append(_draw(region, gen, min(math.ceil((count - held) / _ACCEPTANCE[region]), _BLOCK_ROWS)))
         held += len(blocks[-1])
-    rows = np.concatenate(blocks)[:count]
-    in_range = (rows >= 0.0) & (rows <= 1.0)
-    if not in_range.all():
-        bad = int(np.flatnonzero(~in_range.all(axis=1))[0])
-        raise InvalidProbabilityError(f"sampled row {bad}={rows[bad].tolist()!r} is not a coin probability in [0, 1]")
-    return ProbabilityTriple._from_columns(*rows.T.tolist())
+    return ProbabilityTriple._from_columns(*np.concatenate(blocks)[:count].T.tolist())
 
 
 def _pure_columns(region: SampleRegion, count: int, rng: RngSpec) -> tuple[list[float], list[float], list[float]]:
@@ -281,6 +269,10 @@ def _pure_columns(region: SampleRegion, count: int, rng: RngSpec) -> tuple[list[
                     continue
         for column, x in zip(columns, row):
             column.append(x)
+    # Rounding can take a sphere coordinate, whose exact value lies in [0, 1], 2^-53 past
+    # 0 or 1, about once in 10^18 rows. It is clamped, as _draw clamps the array rows.
+    if region == "sphere" and not (0.0 <= min(map(min, columns)) and max(map(max, columns)) <= 1.0):
+        return tuple([min(max(x, 0.0), 1.0) for x in column] for column in columns)
     return columns
 
 

@@ -101,15 +101,3 @@ def test_fill_matches_generator_random_and_leaves_its_state(seed, stream, shape)
     # and so does a second fill, from a state no fill started at
     pure.fill(out)
     assert np.array_equal(out, reference.random(shape))
-
-
-def test_fill_refuses_an_array_it_cannot_write_in_order():
-    for out in (np.empty((4, 3))[:, :2], np.empty(8, np.float32)):
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            Stream(0, 0).fill(out)
-
-
-def test_fill_of_nothing_draws_nothing():
-    pure = Stream(3, 0)
-    pure.fill(np.empty((0, 3)))
-    assert pure.random() == coinsim.RngSpec(3).generator().random()
