@@ -101,3 +101,19 @@ def test_fill_matches_generator_random_and_leaves_its_state(seed, stream, shape)
     # and so does a second fill, from a state no fill started at
     pure.fill(out)
     assert np.array_equal(out, reference.random(shape))
+
+
+# quantum_fraction's last block fills only a prefix of its worker's buffer: one row, the rows
+# just short of and just past one chunk of doubles, and all but the last row of a lone worker's block.
+PREFIX_ROWS = [1, _CHUNK // 3, _CHUNK // 3 + 1, coinsim._BLOCK_ROWS // 2 - 1]
+
+
+@pytest.mark.parametrize("rows", PREFIX_ROWS)
+def test_fill_of_a_buffer_prefix_writes_only_its_rows(rows):
+    buffer = np.full((coinsim._BLOCK_ROWS // 2, 3), -1.0)
+    for seed in EDGE_SEEDS:
+        pure, reference = Stream(seed, 0), coinsim.RngSpec(seed).generator()
+        pure.fill(buffer[:rows])
+        assert np.array_equal(buffer[:rows], reference.random((rows, 3)))
+        assert (buffer[rows:] == -1.0).all()
+        assert pure.random() == reference.random()
