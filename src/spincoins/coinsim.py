@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar, Literal
 
@@ -49,8 +48,10 @@ if TYPE_CHECKING:
 
 SampleRegion = Literal["cube", "ball", "sphere"]
 
-# Rows per array draw, and in all of quantum_fraction's buffers and masks together (33 bytes a row, 2.2 MB).
+# Rows in all of quantum_fraction's buffers and masks together (33 bytes a row, 2.2 MB).
 _BLOCK_ROWS = 2**16
+# Most draws in one of sample_states' array blocks, each made triples before the next is drawn (at most 96 KiB of doubles).
+_SAMPLE_DRAWS = 2**12
 # Most rows sample_states draws without numpy. Measured on a shared 2-CPU host: 5000 ball rows
 # took 30-50 ms in pure Python, against 80-110 ms for importing numpy and drawing them there.
 _PURE_MAX_COUNT = 5000
@@ -229,7 +230,10 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
     ``_pure_columns`` alike, so they are not checked again: they become
     triples through the trusted bulk constructor
     ``ProbabilityTriple._from_columns``, which fills them column by column
-    with no per-field validation and no Python code per triple. Without
+    with no per-field validation and no Python code per triple. The array
+    path draws blocks of at most ``_SAMPLE_DRAWS`` draws and makes each
+    block's rows triples before it draws the next, so beyond the triples it
+    holds one block's arrays and lists for any count. Without
     numpy loaded, up to ``_PURE_MAX_COUNT`` rows come from the pure-Python
     stream, one draw at a time: the same rows.
     """
@@ -238,14 +242,12 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
         raise ValueError(f"region must be 'cube', 'ball' or 'sphere', got {region!r}")
     if not _numpy_loaded() and count <= _PURE_MAX_COUNT:
         return ProbabilityTriple._from_columns(*_pure_columns(region, count, rng))
-    import numpy as np
-
     gen = rng.generator()
-    blocks, held = [], 0
-    while held < count:
-        blocks.append(_draw(region, gen, min(math.ceil((count - held) / _ACCEPTANCE[region]), _BLOCK_ROWS)))
-        held += len(blocks[-1])
-    return ProbabilityTriple._from_columns(*np.concatenate(blocks)[:count].T.tolist())
+    states: list[ProbabilityTriple] = []
+    while len(states) < count:
+        rows = _draw(region, gen, min(math.ceil((count - len(states)) / _ACCEPTANCE[region]), _SAMPLE_DRAWS))
+        states += ProbabilityTriple._from_columns(*rows[: count - len(states)].T.tolist())
+    return states
 
 
 def _pure_columns(region: SampleRegion, count: int, rng: RngSpec) -> tuple[list[float], list[float], list[float]]:
@@ -307,10 +309,12 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
     of one stream are split into contiguous chunks, one per usable CPU (at most ``_MAX_WORKERS``,
     each of at least ``_BLOCK_ROWS`` rows), counted in parallel threads from generators advanced
     to each chunk's first row, so every row is the one a sequential pass would draw and the result
-    is bit-identical for any CPU count. Each thread allocates its buffers once, 32 bytes a row, for
-    blocks of ``_BLOCK_ROWS // max(2, workers)`` rows (a lone thread's 1.1 MB fit a core's 2 MB L2);
-    with each block's 1-byte ball-test mask, all of them hold at most ``_BLOCK_ROWS`` rows, 2.2 MB.
+    is bit-identical for any CPU count. The caller allocates each thread's buffers before any starts, 32 bytes
+    a row, for blocks of ``_BLOCK_ROWS // max(2, workers)`` rows (a lone thread's 1.1 MB fit a core's 2 MB
+    L2); with each block's 1-byte ball-test mask, all of them hold at most ``_BLOCK_ROWS`` rows, 2.2 MB.
     """
+    import threading
+
     import numpy as np
 
     n_samples = _as_int(n_samples, "n_samples", 1000)
@@ -328,16 +332,17 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
         for gen, first in zip(gens, bounds):
             gen.bit_generator.advance(3 * first)
         draws = [gen.random for gen in gens]
+    # Allocated here, so that no worker thread's malloc arena keeps a block of them after the call.
+    buffers = [(np.empty((block, 3)), np.empty(block)) for _ in range(workers)]
     hits = [0] * workers
     errors: list[BaseException] = []
 
     def count(k: int) -> None:
         try:
-            buffers = np.empty((block, 3)), np.empty(block)
             for start in range(bounds[k], bounds[k + 1], block):
                 if errors:  # another chunk failed, or the caller was interrupted; the count is lost anyway
                     return
-                hits[k] += _count_hits(draws[k], *(buffer[: bounds[k + 1] - start] for buffer in buffers))
+                hits[k] += _count_hits(draws[k], *(buffer[: bounds[k + 1] - start] for buffer in buffers[k]))
         except BaseException as exc:  # re-raised in the caller; a thread would drop it
             errors.append(exc)
 

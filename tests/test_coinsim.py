@@ -256,13 +256,31 @@ class TestSampleState:
         assert len(set(states)) == 4
         assert states == sc.sample_states("cube", 4, spec)
 
+    # A cube block of _SAMPLE_DRAWS draws keeps them all, so one fewer, as many and one more rows end
+    # inside, at and just past the first block; 20000 rows span several blocks in every region.
+    @pytest.mark.parametrize("count", [coinsim._SAMPLE_DRAWS - 1, coinsim._SAMPLE_DRAWS, coinsim._SAMPLE_DRAWS + 1, 20000])
     @pytest.mark.parametrize("region", ["cube", "ball", "sphere"])
     @pytest.mark.parametrize("seed", [0, 7, 123])
-    def test_streams_match_per_draw_reference(self, region, seed):
+    def test_streams_match_per_draw_reference(self, region, seed, count):
         spec = sc.RngSpec(seed=seed)
-        states = [s.as_tuple() for s in sc.sample_states(region, 20000, spec)]
-        assert states == reference_states(region, 20000, spec.generator())
+        states = [s.as_tuple() for s in sc.sample_states(region, count, spec)]
+        assert states == reference_states(region, count, spec.generator())
         assert all(0.0 <= x <= 1.0 for row in states for x in row)
+
+    @pytest.mark.parametrize("region", ["cube", "ball", "sphere"])
+    def test_working_memory_stays_within_one_block(self, region):
+        # Beyond the triples it returns, the array path holds one block of at most _SAMPLE_DRAWS draws,
+        # bounded by four arrays of three doubles a draw. 64 KiB covers the Python objects around them.
+        spec = sc.RngSpec(seed=0)
+        sc.sample_states(region, 10**5, spec)  # warms numpy's caches first
+        tracemalloc.start()
+        try:
+            states = sc.sample_states(region, 10**5, spec)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(states) == 10**5
+        assert peak - held <= 3 * 8 * 4 * coinsim._SAMPLE_DRAWS + 64 * 1024
 
     @pytest.mark.parametrize("region", ["cube", "ball", "sphere"])
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])

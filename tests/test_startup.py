@@ -1,8 +1,9 @@
 """Each CLI call loads only the library modules its subcommand computes with.
 
 The scalar entry points, tosses and samples of up to 5000 rows in any
-region run without importing numpy; quantum-fraction and larger samples
-load it and still work, and quantum-fraction below 2^17 samples loads no
+region run without importing numpy, and the tosses and samples without
+importing ``threading``; quantum-fraction and larger samples load numpy
+and still work, and quantum-fraction below 2^17 samples loads no
 ``numpy.random``. Each call's stdout in a fresh process equals the same
 call made in this one, where ``numpy.random`` is imported, so the
 pure-Python stream and its vectorised fill draw what numpy draws.
@@ -28,12 +29,14 @@ STATE = '{"p1": 0.5, "p2": 0.75, "p3": 0.5}'
 OBS = '{"x": 1, "y": 0, "z1": 1, "z2": -1}'
 SKEWED = '{"p1": 0.3, "p2": 0.6, "p3": 0.85}'
 
-# Runs in a fresh interpreter: imports the package or runs one CLI call, then prints the exit
-# code, the captured stdout, the spincoins modules loaded and whether numpy and numpy.random got imported.
+# Runs in a fresh interpreter: imports the package or runs one CLI call, then prints the exit code, the
+# captured stdout, the spincoins modules loaded, whether numpy and numpy.random got imported and every
+# module the call newly imported (those that site or the probe itself had loaded before it are not).
 PROBE = """
 import io, json, sys
 argv = json.loads(sys.argv[1])
 out = io.StringIO()
+before = set(sys.modules)
 if argv is None:
     import spincoins
     code = 0
@@ -42,7 +45,7 @@ else:
     code = cli.run(argv, stdout=out)
 modules = sorted(name for name in sys.modules if name.partition(".")[0] == "spincoins")
 print(json.dumps({"code": code, "stdout": out.getvalue(), "modules": modules, "numpy": "numpy" in sys.modules,
-                  "numpy.random": "numpy.random" in sys.modules}))
+                  "numpy.random": "numpy.random" in sys.modules, "imported": sorted(set(sys.modules) - before)}))
 """
 
 # The modules a call loads beyond the package, the CLI and core.
@@ -128,6 +131,8 @@ def test_scalar_entry_points_never_import_numpy(name, tmp_path):
     assert report["code"] == code
     assert report["modules"] == loaded(*extra)
     assert report["numpy"] is False
+    if name.startswith(("simulate", "sample")):  # only quantum_fraction starts threads
+        assert "threading" not in report["imported"]
     assert (report["code"], report["stdout"]) == in_process(argv)
 
 
