@@ -23,6 +23,7 @@ way gives the same rows: the sphere's by Marsaglia's method (Ann. Math. Stat.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import sys
@@ -235,19 +236,28 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
     block's rows triples before it draws the next, so beyond the triples it
     holds one block's arrays and lists for any count. Without
     numpy loaded, up to ``_PURE_MAX_COUNT`` rows come from the pure-Python
-    stream, one draw at a time: the same rows.
+    stream, one draw at a time: the same rows. The cyclic garbage collector is
+    paused for the call, safely, as a triple holds only floats and is in no
+    cycle; it is switched back on after, only if it was on at entry. The pause
+    is process-wide: another thread that switches it meanwhile can be overridden.
     """
     count = _as_int(count, "count", 1)
     if region not in ("cube", "ball", "sphere"):
         raise ValueError(f"region must be 'cube', 'ball' or 'sphere', got {region!r}")
-    if not _numpy_loaded() and count <= _PURE_MAX_COUNT:
-        return ProbabilityTriple._from_columns(*_pure_columns(region, count, rng))
-    gen = rng.generator()
-    states: list[ProbabilityTriple] = []
-    while len(states) < count:
-        rows = _draw(region, gen, min(math.ceil((count - len(states)) / _ACCEPTANCE[region]), _SAMPLE_DRAWS))
-        states += ProbabilityTriple._from_columns(*rows[: count - len(states)].T.tolist())
-    return states
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if not _numpy_loaded() and count <= _PURE_MAX_COUNT:
+            return ProbabilityTriple._from_columns(*_pure_columns(region, count, rng))
+        gen = rng.generator()
+        states: list[ProbabilityTriple] = []
+        while len(states) < count:
+            rows = _draw(region, gen, min(math.ceil((count - len(states)) / _ACCEPTANCE[region]), _SAMPLE_DRAWS))
+            states += ProbabilityTriple._from_columns(*rows[: count - len(states)].T.tolist())
+        return states
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _pure_columns(region: SampleRegion, count: int, rng: RngSpec) -> tuple[list[float], list[float], list[float]]:

@@ -357,7 +357,11 @@ def density_to_probs(rho: DensityMatrix | np.ndarray) -> ProbabilityTriple:
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
     a, _, lower, _ = rho.entries
-    return ProbabilityTriple(0.5 + lower.real, 0.5 + lower.imag, a.real)
+    probs = (0.5 + lower.real, 0.5 + lower.imag, a.real)
+    for value in probs:  # the matrix maps outside the cube: name it, not a coin it never had
+        if not 0.0 <= value <= 1.0:
+            raise InvalidDensityMatrixError(f"field 'm' must map to coin probabilities in [0, 1], got {value!r}")
+    return ProbabilityTriple(*probs)
 
 
 def quantum_validity(p: ProbabilityTriple) -> ValidityReport:

@@ -177,6 +177,15 @@ class TestExitCodes:
         assert code == 1
         assert "Hermitian" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("matrix,value", [
+        # within the trace and Hermiticity tolerances, yet p3 = 1.0000000000005 and p1 = 1.000000000025
+        ("[[1.0000000000005, 0], [0, 0], [0, 0], [0, 0]]", "1.0000000000005"),
+        ("[[0.5, 0], [0.5, 0], [0.50000000005, 0], [0.5, 0]]", "1.000000000025"),
+    ], ids=["p3", "p1"])
+    def test_domain_error_matrix_mapping_outside_the_cube_names_the_matrix(self, matrix, value, capsys):
+        assert run_cli(["to-probs", f'{{"m": {matrix}}}']) == (1, "")
+        assert capsys.readouterr().err == f"error: field 'm' must map to coin probabilities in [0, 1], got {value}\n"
+
     def test_domain_error_non_quantum_overlap(self):
         code, _ = run_cli(["overlap", '{"p1": 1, "p2": 1, "p3": 1}', STATE_MIXED])
         assert code == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import os
 import re
@@ -281,6 +282,65 @@ class TestSampleState:
             tracemalloc.stop()
         assert len(states) == 10**5
         assert peak - held <= 3 * 8 * 4 * coinsim._SAMPLE_DRAWS + 64 * 1024
+
+    @staticmethod
+    def take_path(path, monkeypatch):
+        """Pin the path of a call of up to 2*10^4 rows: numpy's blocks, or the pure stream with its limit raised that far."""
+        if path == "pure":
+            monkeypatch.setattr(coinsim, "_numpy_loaded", lambda: False)
+            monkeypatch.setattr(coinsim, "_PURE_MAX_COUNT", 2 * 10**4)
+            monkeypatch.setattr(coinsim.RngSpec, "generator", None)  # the numpy path would fail on it
+
+    @pytest.fixture
+    def collector(self):
+        """The collector's state, put back as it was after the test."""
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("path", ["numpy", "pure"])
+    @pytest.mark.parametrize("region", ["cube", "ball", "sphere"])
+    def test_no_automatic_collection_runs_in_the_call(self, region, path, monkeypatch, collector):
+        # 2*10^4 triples are many times gen0's threshold of allocations; a collection in the call could
+        # free none of them, since a triple holds only floats, so the collector is paused for the call.
+        self.take_path(path, monkeypatch)
+        started = []
+
+        def hook(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.enable()
+        gc.callbacks.append(hook)
+        try:
+            states = sc.sample_states(region, 2 * 10**4, sc.RngSpec(seed=0))
+        finally:
+            gc.callbacks.remove(hook)
+        assert len(states) == 2 * 10**4
+        assert started == []
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("path", ["numpy", "pure"])
+    def test_the_collector_state_is_restored_on_return_and_on_raise(self, path, enabled, monkeypatch, collector):
+        self.take_path(path, monkeypatch)
+        (gc.enable if enabled else gc.disable)()
+        sc.sample_states("ball", 2 * 10**4, sc.RngSpec(seed=0))
+        assert gc.isenabled() is enabled
+        # raise part-way: in the array path's second block, or in the pure path's one draw of all rows
+        name = "_draw" if path == "numpy" else "_pure_columns"
+        draw, calls = getattr(coinsim, name), []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == (2 if path == "numpy" else 1):
+                raise RuntimeError("draw failed")
+            return draw(*args)
+
+        monkeypatch.setattr(coinsim, name, failing)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            sc.sample_states("cube", 2 * 10**4, sc.RngSpec(seed=0))
+        assert gc.isenabled() is enabled
 
     @pytest.mark.parametrize("region", ["cube", "ball", "sphere"])
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])

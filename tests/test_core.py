@@ -306,7 +306,7 @@ class TestDensityToProbs:
             sc.density_to_probs(np.array([[0.5, 0.4], [0.1, 0.5]], dtype=complex))
 
     def test_passes_python_floats_to_the_triple(self):
-        with pytest.raises(sc.InvalidProbabilityError, match=r"got 1\.4$"):
+        with pytest.raises(sc.InvalidDensityMatrixError, match=r"got 1\.4$"):
             sc.density_to_probs([[0.5, 0.9], [0.9, 0.5]])
 
 

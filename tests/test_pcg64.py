@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spincoins import coinsim
 from spincoins._pcg64 import _CHUNK, Stream
@@ -117,3 +120,53 @@ def test_fill_of_a_buffer_prefix_writes_only_its_rows(rows):
         assert np.array_equal(buffer[:rows], reference.random((rows, 3)))
         assert (buffer[rows:] == -1.0).all()
         assert pure.random() == reference.random()
+
+
+# Parity over the whole domain the library draws in: any seed, stream ids past 64 bits, fills of
+# up to two blocks of doubles, n up to 2^53, and p at and near the float edges and numpy's branch points.
+seeds, streams = st.integers(0, 2**64 - 1), st.integers(0, 2**80 - 1)
+P_EDGES = [0.0, 2.0**-1074, 0.5, 1.0 - 2**-53, 1.0]
+
+
+def ulps_from(edge: float, steps: int) -> float:
+    """The float ``steps`` ulps above (or below, when negative) ``edge``, clamped to [0, 1]."""
+    for _ in range(abs(steps)):
+        edge = math.nextafter(edge, 1.0 if steps > 0 else 0.0)
+    return edge
+
+
+probabilities = st.one_of(
+    st.sampled_from(P_EDGES),
+    st.builds(ulps_from, st.sampled_from(P_EDGES), st.integers(-4, 4)),
+    st.floats(0.0, 1.0),
+    st.floats(-1074.0, 0.0).map(lambda e: 2.0**e),  # log-uniform, down to the least subnormal
+)
+# n p either side of numpy's inversion/BTPE split at 30
+near_the_split = st.builds(lambda n, mean: (n, min(1.0, mean / n)), st.integers(1, 2**53), st.floats(28.0, 32.0))
+# and each mirrored to p > 1/2, which numpy draws as n minus a draw with 1 - p
+binomial_cases = st.builds(
+    lambda case, mirror: (case[0], 1.0 - case[1] if mirror else case[1]),
+    st.one_of(st.tuples(st.one_of(st.integers(0, 100), st.integers(0, 2**53)), probabilities), near_the_split),
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, streams, st.lists(st.integers(1, 2**17), min_size=1, max_size=3))
+def test_fill_matches_generator_random_at_any_length(seed, stream, lengths):
+    pure, reference = Stream(seed, stream), coinsim.RngSpec(seed, stream).generator()
+    for length in lengths:
+        out, expected = np.empty(length), np.empty(length)
+        pure.fill(out)
+        reference.random(out=expected)
+        assert np.array_equal(out, expected), (seed, stream, length)
+        assert pure.random() == reference.random(), (seed, stream, length)
+
+
+@settings(max_examples=400, deadline=None)
+@given(seeds, streams, st.lists(binomial_cases, min_size=1, max_size=5))
+def test_binomial_matches_generator_binomial_over_its_domain(seed, stream, cases):
+    # draws in turn from one stream, so a draw that used a different number of doubles shifts the rest
+    pure, reference = Stream(seed, stream), coinsim.RngSpec(seed, stream).generator()
+    for n, p in cases:
+        assert pure.binomial(n, p) == reference.binomial(n, p), (seed, stream, n, p)
