@@ -220,6 +220,24 @@ def _checked(args: argparse.Namespace, name: str, kind: Any) -> Any:
     return spincoins.RngSpec(value) if dest == "seed" else value
 
 
+def _write(out: TextIO, text: str) -> None:
+    """Write all of ``text`` to ``out`` and flush it, or raise OSError.
+
+    Unbuffered (``python -u``, ``PYTHONUNBUFFERED``), stdout's text layer drops the rest of a short write without an
+    error, so the bytes, the same on POSIX, go to ``out.buffer`` until all are taken: the write after a short one
+    raises, EPIPE on a closed pipe. A stream with no buffer, such as a ``StringIO``, takes the text.
+    """
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:
+        out.write(text)
+    else:
+        out.flush()  # text written to out earlier goes first
+        data = memoryview(text.encode(out.encoding))
+        while data:
+            data = data[buffer.write(data) :]
+    out.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spincoins",
@@ -254,8 +272,7 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
             text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
             if out is None:  # the process started with stdout closed
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            out.write(text)
-            out.flush()
+            _write(out, text)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -6,15 +6,16 @@ correlate the toss outcomes themselves. Every sampler takes an explicit
 :class:`RngSpec` so results are bit-for-bit reproducible. There are three
 ways to draw its one PCG64 stream, and they give the same numbers:
 
-- numpy's ``Generator``, which the array paths draw through in bounded
-  blocks, in a process that has imported ``numpy.random``, and for every
-  count above the two below;
 - the pure-Python copy ``spincoins._pcg64.Stream``, one draw at a time, for
   tosses and samples of up to ``_PURE_MAX_COUNT`` rows in a process that has
   not imported numpy, which it spares numpy's import;
 - that copy's vectorised ``fill``, in numpy's uint64 arithmetic, for a
-  ``quantum_fraction`` count below two blocks in a process that has imported
-  numpy but not ``numpy.random``, which it spares that import.
+  ``quantum_fraction`` count below two blocks in a process that has not
+  imported ``numpy.random``, which it spares that import;
+- numpy's ``Generator`` otherwise, which the array paths draw through in
+  bounded blocks.
+
+``_pure_stream`` makes this choice for all three callers.
 
 Every sampler maps uniform doubles with IEEE-exact operations only, so each
 way gives the same rows: the sphere's by Marsaglia's method (Ann. Math. Stat.
@@ -45,6 +46,7 @@ from .core import (
 if TYPE_CHECKING:
     import numpy as np
 
+    from ._pcg64 import Stream
     from .observables import GameObservable
 
 SampleRegion = Literal["cube", "ball", "sphere"]
@@ -88,14 +90,20 @@ class RngSpec:
         return np.random.Generator(np.random.PCG64(sequence))
 
 
-def _numpy_loaded() -> bool:
-    """Whether this process has imported numpy; if not, tosses and small samples are drawn without it."""
-    return "numpy" in sys.modules
+def _pure_stream(rng: RngSpec, spared: str, count: int) -> Stream | None:
+    """``rng``'s stream drawn without numpy's ``Generator`` for a call of ``count`` rows, or None when the Generator draws them.
 
+    ``spared`` is the module the pure stream spares importing, and the stream draws only in a process that has not
+    imported it, up to that module's limit: ``"numpy"`` for a ``toss`` (one row) and for ``sample_states`` of up to
+    ``_PURE_MAX_COUNT`` rows; ``"numpy.random"`` for ``quantum_fraction``, which imports numpy for its buffers
+    anyway, below ``2 * _BLOCK_ROWS`` samples, where one thread counts them all and the fill's slower loop still
+    costs less than the import. It imports nothing to decide.
+    """
+    if spared in sys.modules or count > (_PURE_MAX_COUNT if spared == "numpy" else 2 * _BLOCK_ROWS - 1):
+        return None
+    from ._pcg64 import Stream
 
-def _numpy_random_loaded() -> bool:
-    """Whether this process has imported ``numpy.random``; if not, ``quantum_fraction`` counts below two blocks without it."""
-    return "numpy.random" in sys.modules
+    return Stream(rng.seed, rng.stream)
 
 
 _COUNT_NAMES = tuple(f"heads_counts[{k}]" for k in range(3))
@@ -157,16 +165,11 @@ def toss(p: ProbabilityTriple, n: int, rng: RngSpec) -> TossRecord:
     The counts are three binomial draws with success probabilities
     (p1, p2, p3); fixing the spec fixes the record exactly. ``n`` is an int
     (numpy ones included, never a bool) from 1 to :data:`MAX_TOSSES`, so every count is
-    exact. Without numpy loaded the draws come from the pure-Python stream, which gives
-    the counts numpy would.
+    exact. ``_pure_stream`` chooses the stream that draws them; each gives the counts numpy's
+    ``Generator`` would.
     """
     n = _as_int(n, "n", 1, MAX_TOSSES)
-    if not _numpy_loaded():
-        from ._pcg64 import Stream
-
-        binomial = Stream(rng.seed, rng.stream).binomial
-    else:
-        binomial = rng.generator().binomial
+    binomial = (_pure_stream(rng, "numpy", 1) or rng.generator()).binomial
     # three scalar draws in coin order give the counts of one array draw, as Python ints
     return TossRecord(n_tosses=n, heads_counts=(binomial(n, p.p1), binomial(n, p.p2), binomial(n, p.p3)))
 
@@ -234,12 +237,12 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
     with no per-field validation and no Python code per triple. The array
     path draws blocks of at most ``_SAMPLE_DRAWS`` draws and makes each
     block's rows triples before it draws the next, so beyond the triples it
-    holds one block's arrays and lists for any count. Without
-    numpy loaded, up to ``_PURE_MAX_COUNT`` rows come from the pure-Python
-    stream, one draw at a time: the same rows. The cyclic garbage collector is
-    paused for the call, safely, as a triple holds only floats and is in no
-    cycle; it is switched back on after, only if it was on at entry. The pause
-    is process-wide: another thread that switches it meanwhile can be overridden.
+    holds one block's arrays and lists for any count. Where ``_pure_stream``
+    chooses the pure-Python stream, it draws the same rows one draw at a
+    time. The cyclic garbage collector is paused for the call, safely, as a
+    triple holds only floats and is in no cycle; it is switched back on
+    after, only if it was on at entry. The pause is process-wide: another
+    thread that switches it meanwhile can be overridden.
     """
     count = _as_int(count, "count", 1)
     if region not in ("cube", "ball", "sphere"):
@@ -247,8 +250,9 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        if not _numpy_loaded() and count <= _PURE_MAX_COUNT:
-            return ProbabilityTriple._from_columns(*_pure_columns(region, count, rng))
+        stream = _pure_stream(rng, "numpy", count)
+        if stream is not None:
+            return ProbabilityTriple._from_columns(*_pure_columns(region, count, stream.random))
         gen = rng.generator()
         states: list[ProbabilityTriple] = []
         while len(states) < count:
@@ -260,11 +264,8 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
             gc.enable()
 
 
-def _pure_columns(region: SampleRegion, count: int, rng: RngSpec) -> tuple[list[float], list[float], list[float]]:
-    """The first ``count`` accepted rows of ``rng``'s stream, as three columns, drawn without numpy as ``_draw`` draws them."""
-    from ._pcg64 import Stream
-
-    random = Stream(rng.seed, rng.stream).random
+def _pure_columns(region: SampleRegion, count: int, random: Callable[[], float]) -> tuple[list[float], list[float], list[float]]:
+    """The first ``count`` accepted rows of the stream that ``random`` draws, as three columns, drawn without numpy as ``_draw`` draws them."""
     columns: tuple[list[float], list[float], list[float]] = ([], [], [])
     while len(columns[0]) < count:
         if region == "sphere":
@@ -311,11 +312,9 @@ def _count_hits(random: Callable[..., object], rows: np.ndarray, total: np.ndarr
 def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
     """Fraction of uniform cube samples that are quantum-admissible.
 
-    Converges to the ball/cube volume ratio pi/6 ~ 0.5235988 as the sample count grows. Below
-    ``2 * _BLOCK_ROWS`` samples, where one thread counts them all, a process that has not
-    imported ``numpy.random`` fills its rows through ``_pcg64.Stream.fill`` and does not import it:
-    the same rows, in numpy's uint64 arithmetic. Otherwise the rows come from numpy's ``Generator``:
-    at ``2 * _BLOCK_ROWS`` rows the fill's slower loop already costs about what the import saves. The rows
+    Converges to the ball/cube volume ratio pi/6 ~ 0.5235988 as the sample count grows. Where
+    ``_pure_stream`` chooses the pure stream, one thread fills its rows through ``_pcg64.Stream.fill``:
+    the same rows, in numpy's uint64 arithmetic. Otherwise the rows come from numpy's ``Generator``. The rows
     of one stream are split into contiguous chunks, one per usable CPU (at most ``_MAX_WORKERS``,
     each of at least ``_BLOCK_ROWS`` rows), counted in parallel threads from generators advanced
     to each chunk's first row, so every row is the one a sequential pass would draw and the result
@@ -331,10 +330,9 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
     workers = max(1, min(_usable_cpus(), n_samples // _BLOCK_ROWS, _MAX_WORKERS))
     bounds = [n_samples * k // workers for k in range(workers + 1)]
     block = min(_BLOCK_ROWS // max(2, workers), n_samples)  # a lone worker's chunk may be shorter than its block
-    if n_samples < 2 * _BLOCK_ROWS and not _numpy_random_loaded():  # a lone worker, which fills its rows itself
-        from ._pcg64 import Stream
-
-        draws = [Stream(rng.seed, rng.stream).fill]
+    stream = _pure_stream(rng, "numpy.random", n_samples)
+    if stream is not None:  # a lone worker, which fills its rows itself
+        draws = [stream.fill]
     else:
         # Built and advanced in the calling thread, so the threads call only private helpers. Row r starts
         # at 64-bit output 3r, one per double; RngSpec builds only PCG64, which has advance.

@@ -414,6 +414,23 @@ class TestExitCodes:
         # the one line, so neither a traceback nor the exit-time flush's "Exception ignored"
         assert result.stderr == f"usage error: cannot write output ({os.strerror(errno.ENOSPC)})\n"
 
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_stdout_pipe_closed_part_way_exits_2_without_a_traceback(self, unbuffered):
+        # About 100 kB of rows, more than a pipe holds, so the reader closes it while the call still writes.
+        # Unbuffered, stdout's buffer is a raw file whose short write the text layer would drop silently.
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with subprocess.Popen(
+            [sys.executable, "-m", "spincoins.cli", "sample", "--region", "ball", "--count", "1000", "--seed", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+        assert proc.returncode == 2
+        assert stderr == f"usage error: cannot write output ({os.strerror(errno.EPIPE)})\n".encode()
+
 
 # The first golden argv of each subcommand: a valid call that a repeated flag can override.
 BASE_ARGV = {argv[0]: argv for _name, argv, _schema in reversed(JSON_CASES)}

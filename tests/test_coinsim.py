@@ -81,6 +81,59 @@ class TestRngSpec:
             sc.RngSpec(seed, stream)
 
 
+# The modules missing in each import state: neither numpy nor numpy.random imported, numpy alone (as a bare
+# `import numpy` leaves numpy 2: a library user's process before its first toss), or both.
+MISSING = {"bare": ("numpy", "numpy.random"), "numpy": ("numpy.random",), "numpy.random": ()}
+DRAWING_CALLS = {
+    "toss": lambda count, spec: sc.toss(sc.ProbabilityTriple(0.5, 0.5, 0.5), count, spec),
+    "sample_states": lambda count, spec: sc.sample_states("ball", count, spec),
+    "quantum_fraction": sc.quantum_fraction,
+}
+
+
+class Chosen(Exception):
+    """Raised with what ``_pure_stream`` returned, so the call stops before it draws."""
+
+
+# Each call at each threshold, and the stream it draws from in each import state: the pure stream, or
+# numpy's Generator. A toss draws one row whatever its count. quantum_fraction imports numpy for its
+# buffers, so it never runs without it.
+CHOICES = [
+    ("toss", 10**6, {"bare": "pure", "numpy": "numpy", "numpy.random": "numpy"}),
+    ("sample_states", 5000, {"bare": "pure", "numpy": "numpy", "numpy.random": "numpy"}),
+    ("sample_states", 5001, {"bare": "numpy", "numpy": "numpy", "numpy.random": "numpy"}),
+    ("quantum_fraction", 2**17 - 1, {"numpy": "pure", "numpy.random": "numpy"}),
+    ("quantum_fraction", 2**17, {"numpy": "numpy", "numpy.random": "numpy"}),
+]
+
+
+class TestPureStreamChoice:
+    @pytest.mark.parametrize(
+        "call, count, imported, path",
+        [(call, count, imported, path) for call, count, paths in CHOICES for imported, path in paths.items()],
+    )
+    def test_each_call_at_each_threshold_and_import_state(self, call, count, imported, path, monkeypatch):
+        assert (coinsim._PURE_MAX_COUNT, 2 * coinsim._BLOCK_ROWS) == (5000, 2**17)
+        spec = sc.RngSpec(seed=2**64 - 1, stream=5)
+        first = spec.generator().random()
+        choose = coinsim._pure_stream
+
+        def chosen(*args):
+            raise Chosen(choose(*args))
+
+        monkeypatch.setattr(coinsim, "_pure_stream", chosen)
+        for name in MISSING[imported]:
+            monkeypatch.delitem(sys.modules, name)
+        with pytest.raises(Chosen) as info:
+            DRAWING_CALLS[call](count, spec)
+        stream = info.value.args[0]
+        if path == "numpy":
+            assert stream is None
+        else:
+            assert type(stream) is spincoins._pcg64.Stream
+            assert stream.random() == first  # seeded at the start of the spec's stream
+
+
 class TestToss:
     def test_certain_coins(self):
         record = sc.toss(sc.ProbabilityTriple(1, 1, 1), 100, sc.RngSpec(seed=0))
@@ -126,7 +179,7 @@ class TestToss:
         def numpy_path(_spec):
             raise RuntimeError("numpy path")
 
-        monkeypatch.setattr(coinsim, "_numpy_loaded", lambda: False)
+        monkeypatch.delitem(sys.modules, "numpy")
         monkeypatch.setattr(coinsim.RngSpec, "generator", numpy_path)
         for probs, n, spec, expected in cases:
             assert sc.toss(sc.ProbabilityTriple(*probs), n, spec).heads_counts == expected, (probs, n, spec)
@@ -246,7 +299,8 @@ class TestSampleState:
 
     @pytest.mark.parametrize("numpy_loaded", [True, False], ids=["numpy", "pure"])
     def test_rejects_unknown_region(self, numpy_loaded, monkeypatch):
-        monkeypatch.setattr(coinsim, "_numpy_loaded", lambda: numpy_loaded)
+        if not numpy_loaded:
+            monkeypatch.delitem(sys.modules, "numpy")
         with pytest.raises(ValueError, match="region"):
             sc.sample_states("torus", 1, sc.RngSpec(seed=0))
 
@@ -287,7 +341,7 @@ class TestSampleState:
     def take_path(path, monkeypatch):
         """Pin the path of a call of up to 2*10^4 rows: numpy's blocks, or the pure stream with its limit raised that far."""
         if path == "pure":
-            monkeypatch.setattr(coinsim, "_numpy_loaded", lambda: False)
+            monkeypatch.delitem(sys.modules, "numpy")
             monkeypatch.setattr(coinsim, "_PURE_MAX_COUNT", 2 * 10**4)
             monkeypatch.setattr(coinsim.RngSpec, "generator", None)  # the numpy path would fail on it
 
@@ -351,7 +405,7 @@ class TestSampleState:
         def numpy_path(_spec):
             raise RuntimeError("numpy path")
 
-        monkeypatch.setattr(coinsim, "_numpy_loaded", lambda: False)
+        monkeypatch.delitem(sys.modules, "numpy")
         monkeypatch.setattr(coinsim.RngSpec, "generator", numpy_path)
         pure = sc.sample_states(region, coinsim._PURE_MAX_COUNT, spec)
         assert [s.as_tuple() for s in pure] == [s.as_tuple() for s in expected]
@@ -382,7 +436,8 @@ class TestSampleState:
                 rows[0] = doubles
                 return rows
 
-        monkeypatch.setattr(coinsim, "_numpy_loaded", lambda: numpy_loaded)
+        if not numpy_loaded:
+            monkeypatch.delitem(sys.modules, "numpy")
         monkeypatch.setattr(spincoins._pcg64, "Stream", Stream)
         monkeypatch.setattr(coinsim.RngSpec, "generator", lambda _spec: Generator())
         row = sc.sample_states("sphere", 1, sc.RngSpec(seed=0))[0].as_tuple()
@@ -454,7 +509,8 @@ class TestQuantumFraction:
         sys.setswitchinterval(1e-6)
         try:
             for numpy_random, cpu_counts, counts in ((True, (1, 2, 3, 5, 8), sizes), (False, (1, 8), fill_sizes)):
-                monkeypatch.setattr(coinsim, "_numpy_random_loaded", lambda numpy_random=numpy_random: numpy_random)
+                if not numpy_random:
+                    monkeypatch.delitem(sys.modules, "numpy.random")
                 for cpus in cpu_counts:
                     monkeypatch.setattr(coinsim, "_usable_cpus", lambda cpus=cpus: cpus)
                     fractions[numpy_random, cpus] = [sc.quantum_fraction(n, sc.RngSpec(seed=1)) for n in counts]
@@ -564,7 +620,8 @@ class TestTossFollowsTheBinomialLaw:
     @pytest.mark.parametrize("n", [20, 500])
     @pytest.mark.parametrize("numpy_loaded", [True, False], ids=["numpy", "pure"])
     def test_each_coin_count_passes_a_chi_square_test(self, numpy_loaded, n, monkeypatch):
-        monkeypatch.setattr(coinsim, "_numpy_loaded", lambda: numpy_loaded)
+        if not numpy_loaded:
+            monkeypatch.delitem(sys.modules, "numpy")
         state = sc.ProbabilityTriple(*LAW_TRIPLE)
         records = [sc.toss(state, n, sc.RngSpec(seed=n * LAW_RECORDS + k)) for k in range(LAW_RECORDS)]
         for coin, p in enumerate(LAW_TRIPLE):
@@ -598,7 +655,8 @@ class TestTossCountsAreExact:
     @pytest.mark.parametrize("p", [0.5, 0.37])
     @pytest.mark.parametrize("numpy_loaded", [True, False], ids=["numpy", "pure"])
     def test_odd_counts_are_half_of_all(self, numpy_loaded, p, monkeypatch):
-        monkeypatch.setattr(coinsim, "_numpy_loaded", lambda: numpy_loaded)
+        if not numpy_loaded:
+            monkeypatch.delitem(sys.modules, "numpy")
         state = sc.ProbabilityTriple(p, p, p)
         records = [sc.toss(state, PARITY_TOSSES, sc.RngSpec(seed=k, stream=20)) for k in range(PARITY_DRAWS // 3 + 1)]
         counts = [count for record in records for count in record.heads_counts][:PARITY_DRAWS]

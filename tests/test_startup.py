@@ -86,6 +86,8 @@ SCALAR_CALLS = {
 # name -> (argv, the modules it loads beyond the package, the CLI and core, whether it imports numpy.random)
 ARRAY_CALLS = {
     "sample-beyond-pure-count": (["sample", "--region", "cube", "--count", "5001", "--seed", "3"], ("coinsim",), True),
+    "sample-ball-beyond-pure-count": (["sample", "--region", "ball", "--count", "5001", "--seed", "3"], ("coinsim",), True),
+    "sample-sphere-beyond-pure-count": (["sample", "--region", "sphere", "--count", "5001", "--seed", "3"], ("coinsim",), True),
     # below two blocks, quantum-fraction fills its rows through the pure stream's uint64 arithmetic
     "quantum-fraction": (["quantum-fraction", "--n-samples", "100000", "--seed", "3"], ("coinsim", "_pcg64"), False),
     "quantum-fraction-fewest": (["quantum-fraction", "--n-samples", "1000", "--seed", "3"], ("coinsim", "_pcg64"), False),
