@@ -1,25 +1,25 @@
 """Command-line front end: JSON payloads in, JSON on stdout, SVG to file.
 
-Exit codes: 0 on success, 1 on domain errors (invalid probability,
-non-Hermitian matrix, non-quantum state, a result too large for a finite
-JSON number), 2 on usage errors (unknown subcommand, bad flags, malformed
-JSON such as NaN or Infinity, a payload file that is not UTF-8, an
-``--out`` file or a stdout that cannot be written). Stdout
-is strict JSON, never NaN or Infinity, and stays empty on an error.
-Output is byte deterministic for identical argv and seed; the default
-seed can be overridden with the ``SPINCOINS_SEED`` environment variable.
+Stdout holds strict JSON (never NaN or Infinity), the ``--help`` text, or nothing. Every error is
+one line on stderr (after argparse's usage text for a bad flag), lost, never moved to stdout, when
+stderr is closed or cannot be written; the exit code still holds. Exit codes: 0 on success, 1 on
+domain errors (invalid probability, non-Hermitian matrix, non-quantum state, a result too large for
+a finite JSON number, running out of memory), 2 on usage errors (unknown subcommand, bad flags,
+malformed JSON such as NaN or Infinity, a payload file that is not UTF-8, an ``--out`` file or a
+stdout that cannot be written). Output is byte deterministic for identical argv and seed;
+``SPINCOINS_SEED`` overrides the default seed.
 
-Each subcommand is one row of ``_SUBCOMMANDS``, which holds the range of
-each integer flag; a decimal integer of any length outside it exits 1 and
-names the flag, or ``SPINCOINS_SEED``. Running out of memory also exits 1, with an
-``error:`` line and no traceback.
+Each subcommand is one row of ``_SUBCOMMANDS``, which holds the range of each integer flag; a
+decimal integer of any length outside it exits 1 and names the flag, or ``SPINCOINS_SEED``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import errno
+import io
 import json
 import os
 import re
@@ -220,22 +220,37 @@ def _checked(args: argparse.Namespace, name: str, kind: Any) -> Any:
     return spincoins.RngSpec(value) if dest == "seed" else value
 
 
-def _write(out: TextIO, text: str) -> None:
-    """Write all of ``text`` to ``out`` and flush it, or raise OSError.
+def _write(out: TextIO | None, text: str) -> None:
+    """The only writer of the CLI's stdout and stderr: all of ``text`` to ``out`` and flushed, or OSError.
 
-    Unbuffered (``python -u``, ``PYTHONUNBUFFERED``), stdout's text layer drops the rest of a short write without an
-    error, so the bytes, the same on POSIX, go to ``out.buffer`` until all are taken: the write after a short one
-    raises, EPIPE on a closed pipe. A stream with no buffer, such as a ``StringIO``, takes the text.
+    The bytes, the same on POSIX, go past any buffer to the raw file until all are taken: a failed write leaves nothing
+    for the exit-time flush, and the write after a short one raises, EPIPE on a closed pipe. A closed stream, or ``None``
+    (one closed at process start), raises EBADF; a stream with no buffer, such as a ``StringIO``, takes the text.
     """
+    if out is None or out.closed:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     buffer = getattr(out, "buffer", None)
     if buffer is None:
         out.write(text)
     else:
         out.flush()  # text written to out earlier goes first
-        data = memoryview(text.encode(out.encoding))
+        raw, data = getattr(buffer, "raw", buffer), memoryview(text.encode(out.encoding, out.errors))
         while data:
-            data = data[buffer.write(data) :]
+            data = data[raw.write(data) :]
     out.flush()
+
+
+def _finish(code: int, out: TextIO | None, shown: str = "", said: str = "") -> int:
+    """Return ``code`` after writing ``shown`` to ``out`` (2 if it cannot) and ``said`` to stderr (lost if it cannot)."""
+    if shown:
+        try:
+            _write(out, shown)
+        except OSError as exc:
+            code, said = 2, f"usage error: cannot write output ({exc.strerror})\n"
+    if said:
+        with contextlib.suppress(OSError):
+            _write(sys.stderr, said)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,40 +276,25 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
     out = stdout if stdout is not None else sys.stdout
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        with contextlib.redirect_stdout(io.StringIO()) as shown, contextlib.redirect_stderr(io.StringIO()) as said:
+            args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error, with the text argparse printed
+        return _finish(int(exc.code or 0), out, shown.getvalue(), said.getvalue())
     _help, arguments, compute = _SUBCOMMANDS[args.command]
-    payload = text = None
+    payload = None
     try:
         payload = compute(*[_checked(args, name, kind) for name, kind, *_ in arguments])
-        if payload is not None:
-            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-            if out is None:  # the process started with stdout closed
-                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            _write(out, text)
+        return _finish(0, out, "" if payload is None else json.dumps(payload, indent=2, allow_nan=False) + "\n")
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # an --out file, or stdout, that cannot be written
-        if text is not None and stdout is None and sys.stdout is not None:
-            # What stdout's buffer still holds goes to devnull, so the exit-time flush has no error to report.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            try:
-                os.dup2(devnull, sys.stdout.fileno())
-            finally:
-                os.close(devnull)
-        print(f"usage error: cannot write output ({exc.strerror})", file=sys.stderr)
-        return 2
+        return _finish(2, out, said=f"usage error: {exc}\n")
+    except OSError as exc:  # an --out file that cannot be written
+        return _finish(2, out, said=f"usage error: cannot write output ({exc.strerror})\n")
     except (ValueError, ArithmeticError) as exc:
         # an overflow, or an inf or NaN that json.dumps refused, which with finite inputs only an overflow makes
-        too_large = isinstance(exc, OverflowError) or (payload is not None and text is None)
-        print(f"error: {'a result too large for a finite JSON number' if too_large else exc}", file=sys.stderr)
-        return 1
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 1
-    return 0
+        too_large = isinstance(exc, OverflowError) or payload is not None
+        return _finish(1, out, said=f"error: {'a result too large for a finite JSON number' if too_large else exc}\n")
+    except MemoryError:  # also in encoding the JSON, before its first byte is written
+        return _finish(1, out, said="error: out of memory\n")
 
 
 def main() -> None:

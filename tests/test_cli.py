@@ -28,6 +28,23 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
     return code, buffer.getvalue()
 
 
+def child_env(unbuffered: bool) -> dict[str, str]:
+    """This process's environment, with ``PYTHONUNBUFFERED`` set to 1 or unset."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+def run_with_no_reader(args: list[str], unbuffered: bool) -> subprocess.CompletedProcess:
+    """Run the interpreter with ``args``, its stdout a pipe whose read end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, *args], stdout=write_end, stderr=subprocess.PIPE,
+                              env=child_env(unbuffered), check=False, timeout=60)
+    finally:
+        os.close(write_end)
+
+
 class TestSubcommands:
     def test_validate_classical_corner(self):
         code, out = run_cli(["validate", '{"p1": 1, "p2": 1, "p3": 1}'])
@@ -200,7 +217,9 @@ class TestExitCodes:
         ["moments", "--n", "400", "--state", '{"p1": 0.5, "p2": 0.5, "p3": 1}', "--obs", '{"x": 0, "y": 0, "z1": 10, "z2": -10}'],
         ["genfun", "--lam", "1000", "--state", STATE_MIXED, "--obs", OBS_SIGMA_Z],
         ["moments", "--n", "1", "--state", '{"p1": 1, "p2": 0.9, "p3": 0.5}', "--obs", '{"x": 1e308, "y": 1e308, "z1": 0, "z2": 0}'],
-    ], ids=["power", "exponential", "payload"])
+        # the first overflow is at order 98 936 of 100 000, so a streamed writer has printed most of the moments by then
+        ["moments", "--n", "100000", "--state", '{"p1":0.75,"p2":0.5,"p3":0.5}', "--obs", '{"x":1.0072,"y":0,"z1":0,"z2":0}'],
+    ], ids=["power", "exponential", "payload", "late"])
     def test_domain_error_overflow_has_one_error_line(self, argv, capsys):
         assert run_cli(argv) == (1, "")
         assert capsys.readouterr().err == "error: a result too large for a finite JSON number\n"
@@ -387,21 +406,68 @@ class TestExitCodes:
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
 
-    def test_usage_error_unwritable_stdout(self, capsys):
+    @pytest.mark.parametrize("argv", [["validate", STATE_MIXED], ["--help"]], ids=["json", "help"])
+    def test_usage_error_unwritable_stdout(self, argv, capsys):
         class FullStdout(io.StringIO):
             def write(self, text):
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        code = run(["validate", STATE_MIXED], stdout=FullStdout())
+        code = run(argv, stdout=FullStdout())
         assert code == 2
-        assert capsys.readouterr().err == f"usage error: cannot write output ({os.strerror(errno.ENOSPC)})\n"
+        assert capsys.readouterr() == ("", f"usage error: cannot write output ({os.strerror(errno.ENOSPC)})\n")
 
-    def test_usage_error_closed_stdout(self, monkeypatch, capsys):
-        monkeypatch.setattr(sys, "stdout", None)  # as Python sets it when the process starts with stdout closed
-        code = run(["validate", STATE_MIXED])
+    @pytest.mark.parametrize("argv", [["validate", STATE_MIXED], ["--help"]], ids=["json", "help"])
+    @pytest.mark.parametrize("at_start", [True, False], ids=["closed-at-start", "closed-in-process"])
+    def test_usage_error_closed_stdout(self, argv, at_start, monkeypatch, capsys):
+        closed = io.StringIO()
+        closed.close()
+        if at_start:
+            monkeypatch.setattr(sys, "stdout", None)  # as Python sets it when the process starts with stdout closed
+        code = run(argv, stdout=None if at_start else closed)
         monkeypatch.undo()
         assert code == 2
         assert capsys.readouterr().err == f"usage error: cannot write output ({os.strerror(errno.EBADF)})\n"
+
+    def test_help_goes_to_the_given_stdout(self, capsys):
+        code, out = run_cli(["validate", "--help"])
+        assert code == 0
+        assert out.startswith("usage: spincoins validate [-h] state\n")
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+    @pytest.mark.parametrize("argv, expected", [
+        (["validate", '{"p1": 2, "p2": 0.5, "p3": 0.5}'], 1),
+        (["validate", '{"p1": 2'], 2),
+        (["frobnicate"], 2),
+    ], ids=["domain", "malformed", "unknown"])
+    def test_error_with_unwritable_stderr_keeps_its_exit_code_and_an_empty_stdout(self, argv, expected, redirect, unbuffered):
+        # The error line is lost; it must not move to stdout, nor fail the exit-time flush (exit 120).
+        result = subprocess.run(
+            ["sh", "-c", f'exec "$0" -m spincoins.cli "$@" {redirect}', sys.executable, *argv],
+            capture_output=True, env=child_env(unbuffered), check=False, timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (expected, b"")
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["validate", "--help"]], ids=["help", "subcommand-help"])
+    def test_help_into_a_pipe_with_no_reader_exits_2_without_a_traceback(self, argv, unbuffered):
+        result = run_with_no_reader(["-m", "spincoins.cli", *argv], unbuffered)
+        assert result.returncode == 2
+        assert result.stderr == f"usage error: cannot write output ({os.strerror(errno.EPIPE)})\n".encode()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs Linux's /proc/self/fd")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_failed_stdout_write_leaves_fd_1_where_it_was(self, unbuffered):
+        # In process, run must not point fd 1 elsewhere: the code after it writes to the same pipe.
+        script = (
+            "import os; from spincoins.cli import run; code = run(['validate', '{\"p1\": 1, \"p2\": 1, \"p3\": 1}']); "
+            "os.write(2, f'{code} {os.readlink(\"/proc/self/fd/1\")}'.encode())"
+        )
+        result = run_with_no_reader(["-c", script], unbuffered)
+        code, _, fd_1 = result.stderr.decode().rpartition("\n")[2].partition(" ")
+        assert code == "2"
+        assert fd_1.startswith("pipe:")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device every write to fails")
     def test_full_stdout_exits_2_without_a_traceback(self):
@@ -418,12 +484,9 @@ class TestExitCodes:
     def test_stdout_pipe_closed_part_way_exits_2_without_a_traceback(self, unbuffered):
         # About 100 kB of rows, more than a pipe holds, so the reader closes it while the call still writes.
         # Unbuffered, stdout's buffer is a raw file whose short write the text layer would drop silently.
-        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
         with subprocess.Popen(
             [sys.executable, "-m", "spincoins.cli", "sample", "--region", "ball", "--count", "1000", "--seed", "0"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(unbuffered),
         ) as proc:
             assert len(proc.stdout.read(10)) == 10
             proc.stdout.close()
