@@ -236,7 +236,10 @@ def _write(out: TextIO | None, text: str) -> None:
         out.flush()  # text written to out earlier goes first
         raw, data = getattr(buffer, "raw", buffer), memoryview(text.encode(out.encoding, out.errors))
         while data:
-            data = data[raw.write(data) :]
+            if (taken := raw.write(data)) is None:  # a full non-blocking file takes nothing: wait until it has room
+                import select
+                select.select((), (raw,), ())
+            data = data[taken:]
     out.flush()
 
 

@@ -177,20 +177,15 @@ def toss(p: ProbabilityTriple, n: int, rng: RngSpec) -> TossRecord:
 def estimate(record: TossRecord, obs: GameObservable) -> SampleStats:
     """Empirical frequencies and payoff means for a toss record.
 
-    mean_x = (2 p^_1 - 1) x, mean_y = (2 p^_2 - 1) y and
-    mean_z = p^_3 z1 + (1 - p^_3) z2, so their sum estimates the game
-    average. Standard errors are the binomial sqrt(p^ (1 - p^) / n).
+    The coin means are the observable's at p^, so their sum, ``mean_total``,
+    is ``observables.mean(p_hat, obs)`` bit for bit. Standard errors are the
+    binomial sqrt(p^ (1 - p^) / n).
     """
     n = record.n_tosses
     p_hat = tuple(count / n for count in record.heads_counts)
     stderr = tuple(math.sqrt(ph * (1.0 - ph) / n) for ph in p_hat)
-    return SampleStats(
-        p_hat=ProbabilityTriple(*p_hat),
-        mean_x=(2.0 * p_hat[0] - 1.0) * obs.x,
-        mean_y=(2.0 * p_hat[1] - 1.0) * obs.y,
-        mean_z=p_hat[2] * obs.z1 + (1.0 - p_hat[2]) * obs.z2,
-        stderr=stderr,
-    )
+    mean_x, mean_y, mean_z = obs._coin_means(*p_hat)
+    return SampleStats(ProbabilityTriple(*p_hat), mean_x, mean_y, mean_z, stderr)
 
 
 def _on_sphere(u, v, s, sqrt):

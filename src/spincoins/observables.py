@@ -75,6 +75,10 @@ class GameObservable:
         """Outcome values (c - r, c + r)."""
         return (self.c - self.r, self.c + self.r)
 
+    def _coin_means(self, p1: float, p2: float, p3: float) -> tuple[float, float, float]:
+        """Coin means (2 p1 - 1) x, (2 p2 - 1) y, p3 z1 + (1 - p3) z2: the one formula that :func:`mean` sums."""
+        return (2.0 * p1 - 1.0) * self.x, (2.0 * p2 - 1.0) * self.y, p3 * self.z1 + (1.0 - p3) * self.z2
+
     def to_dict(self) -> dict[str, float]:
         return {"x": self.x, "y": self.y, "z1": self.z1, "z2": self.z2}
 
@@ -116,12 +120,8 @@ def mean(p: ProbabilityTriple, obs: GameObservable) -> float:
     the matrix trace Tr(rho A); for general independent coins it is the
     plain classical expected payoff. The caller chooses the reading.
     """
-    return (
-        (2.0 * p.p1 - 1.0) * obs.x
-        + (2.0 * p.p2 - 1.0) * obs.y
-        + p.p3 * obs.z1
-        + (1.0 - p.p3) * obs.z2
-    )
+    mean_x, mean_y, mean_z = obs._coin_means(p.p1, p.p2, p.p3)
+    return mean_x + mean_y + mean_z
 
 
 def _two_point_law(p: ProbabilityTriple, obs: GameObservable) -> tuple[float, float, float]:
@@ -158,8 +158,8 @@ def generating_function(p: ProbabilityTriple, obs: GameObservable, lam: float) -
 def moments(p: ProbabilityTriple, obs: GameObservable, n_max: int) -> MomentSequence:
     """Moments m_n = w+ (c + r)^n + w- (c - r)^n for n = 0 .. n_max, from the two-point law.
 
-    Every moment depends on the state only through the mean, and each is
-    accurate at every order; a power beyond the float range raises OverflowError.
+    m_0 is Tr rho = 1 and m_1 is :func:`mean`. Every moment depends on the state only through
+    the mean, and each is accurate at every order; a power beyond the float range raises OverflowError.
     """
     n_max = _as_int(n_max, "n_max", 0)
     f, w_plus, w_minus = _two_point_law(p, obs)
@@ -167,10 +167,11 @@ def moments(p: ProbabilityTriple, obs: GameObservable, n_max: int) -> MomentSequ
     # A zero weight's power may overflow and is never taken: a base of +-1 gives the same signed zero term.
     up = c + r if w_plus else math.copysign(1.0, c + r)
     down = c - r if w_minus else math.copysign(1.0, c - r)
-    # A list, not a generator: tuple() of a list allocates the exact size, which
+    # A list, not a generator: a tuple made of a list has the exact size, which
     # keeps CPython's per-size tuple free lists from filling up (MBs of RSS).
+    law = [w_plus * up**n + w_minus * down**n for n in range(2, n_max + 1)]
     return MomentSequence(
-        moments=tuple([w_plus * up**n + w_minus * down**n for n in range(n_max + 1)]),
+        moments=(1.0, mean(p, obs), *law)[: n_max + 1],
         c=c,
         r=r,
         f=None if obs.is_degenerate() else f,

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -493,6 +494,28 @@ class TestExitCodes:
             stderr = proc.stderr.read()
         assert proc.returncode == 2
         assert stderr == f"usage error: cannot write output ({os.strerror(errno.EPIPE)})\n".encode()
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="select waits only on sockets there, not on pipes")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_full_non_blocking_stdout_waits_for_its_reader(self, unbuffered):
+        # About 100 kB of rows fill the pipe, whose reader starts after 1 s. A full non-blocking file takes
+        # nothing, so the call must wait for room: retrying at once would spin a CPU for that second.
+        import resource
+
+        argv = ["sample", "--region", "ball", "--count", "1000", "--seed", "0"]
+        read_end, write_end = os.pipe()
+        os.set_blocking(write_end, False)
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        with open(read_end, "rb") as reader:
+            with open(write_end, "wb") as writer:
+                proc = subprocess.Popen([sys.executable, "-m", "spincoins.cli", *argv], stdout=writer,
+                                        env=child_env(unbuffered))
+            time.sleep(1.0)
+            out = reader.read()
+        assert proc.wait(timeout=60) == 0
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert out == run_cli(argv)[1].encode()
+        assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 0.5
 
 
 # The first golden argv of each subcommand: a valid call that a repeated flag can override.

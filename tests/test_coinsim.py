@@ -8,6 +8,7 @@ import math
 import os
 import re
 import statistics
+import struct
 import sys
 import threading
 import time
@@ -273,6 +274,19 @@ class TestEstimate:
         assert stats.mean_x == 2.0
         assert stats.mean_y == -3.0
         assert stats.mean_z == 0.0
+
+    def test_mean_total_is_the_mean_at_p_hat_bit_for_bit(self):
+        # The coin means keep their formulas; mean_total, their sum, is the library's game average.
+        gen = np.random.default_rng(37)
+        for _ in range(2000):
+            n = int(gen.integers(1, 10**6))
+            obs = sc.GameObservable(*gen.uniform(-3.0, 3.0, size=4))
+            stats = sc.estimate(sc.TossRecord(n, tuple(gen.integers(0, n + 1, size=3).tolist())), obs)
+            p1, p2, p3 = stats.p_hat.as_tuple()
+            coin_means = ((2.0 * p1 - 1.0) * obs.x, (2.0 * p2 - 1.0) * obs.y, p3 * obs.z1 + (1.0 - p3) * obs.z2)
+            assert struct.pack("<4d", stats.mean_x, stats.mean_y, stats.mean_z, stats.mean_total) == struct.pack(
+                "<4d", *coin_means, sc.mean(stats.p_hat, obs)
+            ), (n, stats)
 
 
 class TestSampleState:

@@ -22,6 +22,7 @@ from oracles import (
     PAULI_Y,
     PAULI_Z,
     coin_matrix,
+    edge_cube_points,
     expm_hermitian_2x2,
     moments_exact,
     moments_oracle,
@@ -285,8 +286,28 @@ class TestTwoPointLawOverTheFloatRange:
         assert seq.moments == (1.0,)
         assert sc.generating_function(p, obs, 0.0) == 1.0
 
+    def test_first_moment_is_zero_where_the_radius_overflows(self):
+        # r = hypot(1.7e308, 1.7e308) is inf, so the two-point law's w+ (c + r) + w- (c - r) is
+        # inf - inf = NaN; the mean is 0.
+        seq = sc.moments(MIXED, sc.GameObservable(1.7e308, 1.7e308, 0.0, 0.0), 1)
+        assert seq.r == math.inf
+        assert seq.moments == (1.0, 0.0)
+
+
+def _cube_sweep(count: int = 2000) -> list[tuple[sc.ProbabilityTriple, sc.GameObservable]]:
+    """Seeded cube triples, edges and corners included, each with payoffs uniform in [-3, 3]."""
+    gen = np.random.default_rng(31)
+    points = edge_cube_points(gen, count).tolist()
+    return [(sc.ProbabilityTriple(*point), random_observable(gen, 3.0)) for point in points]
+
 
 class TestMean:
+    def test_exact_near_the_centre(self):
+        # (2 p1 - 1) x is exact here, where the two-point law's w+ (c + r) + w- (c - r) cancels
+        # to a relative error of 1.5e-8.
+        p, obs = sc.ProbabilityTriple(0.5 + 2.0**-30, 0.5, 0.5), sc.GameObservable(0.1, 0.0, 0.0, 0.0)
+        assert sc.mean(p, obs) == sc.moments(p, obs, 1).moments[1] == 0.1 * 2.0**-29 == 1.8626451492309571e-10
+
     def test_spin_up_eigenstate_of_sigma_z(self):
         assert sc.mean(SPIN_UP, SIGMA_Z_GAME) == 1.0
 
@@ -407,6 +428,17 @@ class TestMoments:
     def test_zeroth_order_only(self):
         seq = sc.moments(MIXED, SIGMA_X_GAME, 0)
         assert seq.moments == (1.0,)
+
+    def test_zeroth_moment_is_the_trace_one_for_every_cube_triple(self):
+        # The weights' sum w+ + w- rounds to 0.9999999999999999 here.
+        p, obs = sc.ProbabilityTriple(0.116, 0.973, 0.665), sc.GameObservable(1.9, -2.2, 0.7, -0.9)
+        assert sc.moments(p, obs, 0).moments == (1.0,)
+        for p, obs in _cube_sweep():
+            assert sc.moments(p, obs, 0).moments == (1.0,), (p, obs)
+
+    def test_first_moment_is_the_mean_bit_for_bit(self):
+        for p, obs in _cube_sweep():
+            assert _bits(sc.moments(p, obs, 1).moments[1]) == _bits(sc.mean(p, obs)), (p, obs)
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="n_max"):
