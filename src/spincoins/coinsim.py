@@ -6,16 +6,16 @@ correlate the toss outcomes themselves. Every sampler takes an explicit
 :class:`RngSpec` so results are bit-for-bit reproducible. There are three
 ways to draw its one PCG64 stream, and they give the same numbers:
 
-- the pure-Python copy ``spincoins._pcg64.Stream``, one draw at a time, for
+- the pure-Python copy ``spincoins._pcg64.Stream``, one double at a time, for
   tosses and samples of up to ``_PURE_MAX_COUNT`` rows in a process that has
   not imported numpy, which it spares numpy's import;
 - that copy's vectorised ``fill``, in numpy's uint64 arithmetic, for a
   ``quantum_fraction`` count below two blocks in a process that has not
   imported ``numpy.random``, which it spares that import;
-- numpy's ``Generator`` otherwise, which the array paths draw through in
-  bounded blocks.
+- numpy's ``Generator`` otherwise.
 
-``_pure_stream`` makes this choice for all three callers.
+``_pure_stream`` makes this choice for all three callers. Each sampler then
+runs one loop of bounded blocks whichever stream draws them.
 
 Every sampler maps uniform doubles with IEEE-exact operations only, so each
 way gives the same rows: the sphere's by Marsaglia's method (Ann. Math. Stat.
@@ -53,7 +53,7 @@ SampleRegion = Literal["cube", "ball", "sphere"]
 
 # Rows in all of quantum_fraction's buffers and masks together (33 bytes a row, 2.2 MB).
 _BLOCK_ROWS = 2**16
-# Most draws in one of sample_states' array blocks, each made triples before the next is drawn (at most 96 KiB of doubles).
+# Most draws in one of sample_states' blocks, each made triples before the next is drawn (at most 96 KiB of doubles).
 _SAMPLE_DRAWS = 2**12
 # Most rows sample_states draws without numpy. Measured on a shared 2-CPU host: 5000 ball rows
 # took 30-50 ms in pure Python, against 80-110 ms for importing numpy and drawing them there.
@@ -199,42 +199,66 @@ def _on_sphere(u, v, s, sqrt):
     return BALL_CENTER + u * k, BALL_CENTER + v * k, 1.0 - s
 
 
-def _draw(region: SampleRegion, gen: np.random.Generator, n: int) -> np.ndarray:
-    """Accepted rows, in stream order, among ``n`` draws from ``gen``.
+def _draw(region: SampleRegion, random: Callable[..., np.ndarray], n: int) -> list[list[float]]:
+    """The accepted rows among the next ``n`` draws of ``random``, a ``Generator``'s bound method, as three columns.
 
     A cube or ball draw is three doubles; ball rows are the cube rows with
     r^2 <= 1/4 (acceptance rate pi/6). A sphere draw is two doubles, u and
     v = 2 x - 1, kept when s = u^2 + v^2 < 1 (acceptance rate pi/4) and
-    mapped onto the sphere by ``_on_sphere``, then clamped to [0, 1] as
-    ``_pure_columns`` clamps its sphere rows.
+    mapped onto the sphere by ``_on_sphere``, then clamped to [0, 1]: rounding
+    can take a coordinate, whose exact value lies in [0, 1], 2^-53 past 0 or
+    1, about once in 10^18 rows.
     """
     import numpy as np
 
-    if region == "cube":
-        return gen.random((n, 3))
+    if region == "sphere":
+        u, v = 2.0 * random((n, 2)).T - 1.0
+        s = u * u + v * v
+        keep = s < 1.0
+        return np.clip(_on_sphere(u[keep], v[keep], s[keep], np.sqrt), 0.0, 1.0).tolist()
+    rows = random((n, 3))
     if region == "ball":
-        rows = gen.random((n, 3))
         centred = (rows - BALL_CENTER).T
-        return rows[_dot(centred, centred) <= BALL_RADIUS_SQ]
-    u, v = 2.0 * gen.random((n, 2)).T - 1.0
-    s = u * u + v * v
-    keep = s < 1.0
-    return np.clip(np.column_stack(_on_sphere(u[keep], v[keep], s[keep], np.sqrt)), 0.0, 1.0)
+        rows = rows[_dot(centred, centred) <= BALL_RADIUS_SQ]
+    return rows.T.tolist()
+
+
+def _pure_draw(region: SampleRegion, random: Callable[[], float], n: int) -> list[list[float]]:
+    """The accepted rows among the next ``n`` draws of ``random``, one double a call, drawn and clamped without numpy as ``_draw`` draws them."""
+    columns: list[list[float]] = [[], [], []]
+    for _ in range(n):
+        if region == "sphere":
+            u, v = 2.0 * random() - 1.0, 2.0 * random() - 1.0
+            s = u * u + v * v
+            if s >= 1.0:
+                continue
+            # np.clip's values by comparisons; min(max(x, 0.0), 1.0) costs about 1 us more a row
+            row = [0.0 if x < 0.0 else 1.0 if x > 1.0 else x for x in _on_sphere(u, v, s, math.sqrt)]
+        else:
+            row = (random(), random(), random())
+            if region == "ball":
+                centred = [x - BALL_CENTER for x in row]
+                if _dot(centred, centred) > BALL_RADIUS_SQ:
+                    continue
+        for column, x in zip(columns, row):
+            column.append(x)
+    return columns
 
 
 def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[ProbabilityTriple]:
     """Draw ``count`` triples sequentially from a single stream: its first ``count`` accepted rows.
 
-    Each path bounds its rows in [0, 1] where it builds them, ``_draw`` and
-    ``_pure_columns`` alike, so they are not checked again: they become
-    triples through the trusted bulk constructor
-    ``ProbabilityTriple._from_columns``, which fills them column by column
-    with no per-field validation and no Python code per triple. The array
-    path draws blocks of at most ``_SAMPLE_DRAWS`` draws and makes each
-    block's rows triples before it draws the next, so beyond the triples it
-    holds one block's arrays and lists for any count. Where ``_pure_stream``
-    chooses the pure-Python stream, it draws the same rows one draw at a
-    time. The cyclic garbage collector is paused for the call, safely, as a
+    ``_pure_stream`` chooses the stream once, and with it the draw: the
+    pure-Python ``_pure_draw`` or numpy's ``_draw``, which keep the same rows
+    of the same draws. One loop draws blocks of at most ``_SAMPLE_DRAWS``
+    draws, each sized by the region's acceptance rate to the rows still
+    missing, and makes each block's rows triples before it draws the next,
+    so beyond the triples it holds one block's columns for any count. Both
+    draws bound their rows in [0, 1] where they build them, so the rows are
+    not checked again: they become triples through the trusted bulk
+    constructor ``ProbabilityTriple._from_columns``, which fills them column
+    by column with no per-field validation and no Python code per triple.
+    The cyclic garbage collector is paused for the call, safely, as a
     triple holds only floats and is in no cycle; it is switched back on
     after, only if it was on at entry. The pause is process-wide: another
     thread that switches it meanwhile can be overridden.
@@ -246,42 +270,17 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
     gc.disable()
     try:
         stream = _pure_stream(rng, "numpy", count)
-        if stream is not None:
-            return ProbabilityTriple._from_columns(*_pure_columns(region, count, stream.random))
-        gen = rng.generator()
+        draw, random = (_draw, rng.generator().random) if stream is None else (_pure_draw, stream.random)
         states: list[ProbabilityTriple] = []
         while len(states) < count:
-            rows = _draw(region, gen, min(math.ceil((count - len(states)) / _ACCEPTANCE[region]), _SAMPLE_DRAWS))
-            states += ProbabilityTriple._from_columns(*rows[: count - len(states)].T.tolist())
+            columns = draw(region, random, min(math.ceil((count - len(states)) / _ACCEPTANCE[region]), _SAMPLE_DRAWS))
+            for column in columns:
+                del column[count - len(states) :]
+            states += ProbabilityTriple._from_columns(*columns)
         return states
     finally:
         if gc_was_enabled:
             gc.enable()
-
-
-def _pure_columns(region: SampleRegion, count: int, random: Callable[[], float]) -> tuple[list[float], list[float], list[float]]:
-    """The first ``count`` accepted rows of the stream that ``random`` draws, as three columns, drawn without numpy as ``_draw`` draws them."""
-    columns: tuple[list[float], list[float], list[float]] = ([], [], [])
-    while len(columns[0]) < count:
-        if region == "sphere":
-            u, v = 2.0 * random() - 1.0, 2.0 * random() - 1.0
-            s = u * u + v * v
-            if s >= 1.0:
-                continue
-            row = _on_sphere(u, v, s, math.sqrt)
-        else:
-            row = (random(), random(), random())
-            if region == "ball":
-                centred = [x - BALL_CENTER for x in row]
-                if _dot(centred, centred) > BALL_RADIUS_SQ:
-                    continue
-        for column, x in zip(columns, row):
-            column.append(x)
-    # Rounding can take a sphere coordinate, whose exact value lies in [0, 1], 2^-53 past
-    # 0 or 1, about once in 10^18 rows. It is clamped, as _draw clamps the array rows.
-    if region == "sphere" and not (0.0 <= min(map(min, columns)) and max(map(max, columns)) <= 1.0):
-        return tuple([min(max(x, 0.0), 1.0) for x in column] for column in columns)
-    return columns
 
 
 def _usable_cpus() -> int:

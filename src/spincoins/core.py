@@ -395,7 +395,7 @@ def overlap(p: ProbabilityTriple, q: ProbabilityTriple) -> float:
         if not _in_ball(radius_squared):
             raise NonQuantumStateError(
                 f"{name}={triple.as_tuple()} is outside the quantum ball "
-                f"(radius_squared={radius_squared:.6f} > 0.25)"
+                f"(radius_squared={radius_squared!r} > 0.25)"
             )
     return 0.5 + 2.0 * _dot(d_p, d_q)
 

@@ -204,9 +204,17 @@ class TestExitCodes:
         assert run_cli(["to-probs", f'{{"m": {matrix}}}']) == (1, "")
         assert capsys.readouterr().err == f"error: field 'm' must map to coin probabilities in [0, 1], got {value}\n"
 
-    def test_domain_error_non_quantum_overlap(self):
+    def test_domain_error_non_quantum_overlap(self, capsys):
         code, _ = run_cli(["overlap", '{"p1": 1, "p2": 1, "p3": 1}', STATE_MIXED])
         assert code == 1
+        # radius^2 = 0.25000000200000005, past the ball test's bound 0.25 + 1e-9 but 0.250000 at 6 decimals
+        p = 0.5 + math.sqrt((0.25 + 2e-9) / 3)
+        state = json.dumps({"p1": p, "p2": p, "p3": p})
+        capsys.readouterr()
+        assert run_cli(["overlap", state, STATE_MIXED]) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: p=({p!r}, {p!r}, {p!r}) is outside the quantum ball (radius_squared=0.25000000200000005 > 0.25)\n"
+        )
 
     def test_domain_error_zero_tosses(self):
         code, _ = run_cli(["simulate", "--state", STATE_MIXED, "--obs", OBS_SIGMA_X,

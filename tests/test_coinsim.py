@@ -395,8 +395,8 @@ class TestSampleState:
         (gc.enable if enabled else gc.disable)()
         sc.sample_states("ball", 2 * 10**4, sc.RngSpec(seed=0))
         assert gc.isenabled() is enabled
-        # raise part-way: in the array path's second block, or in the pure path's one draw of all rows
-        name = "_draw" if path == "numpy" else "_pure_columns"
+        # raise part-way: in the array path's second block, or in the pure path's first
+        name = "_draw" if path == "numpy" else "_pure_draw"
         draw, calls = getattr(coinsim, name), []
 
         def failing(*args):
@@ -428,6 +428,17 @@ class TestSampleState:
         with pytest.raises(RuntimeError, match="numpy path"):
             sc.sample_states(region, coinsim._PURE_MAX_COUNT + 1, spec)
 
+    @pytest.mark.parametrize("n", [1, 2, coinsim._SAMPLE_DRAWS])
+    @pytest.mark.parametrize("region", ["cube", "ball", "sphere"])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_both_draws_keep_the_same_rows_of_the_same_draws(self, region, seed, n):
+        stream, gen = spincoins._pcg64.Stream(seed, 3), sc.RngSpec(seed, 3).generator()
+        pure = coinsim._pure_draw(region, stream.random, n)
+        array = coinsim._draw(region, gen.random, n)
+        assert all(type(x) is float and 0.0 <= x <= 1.0 for column in pure + array for x in column)
+        assert [[x.hex() for x in column] for column in pure] == [[x.hex() for x in column] for column in array]
+        assert stream.random().hex() == gen.random().hex()  # both consumed exactly n draws
+
     def test_bulk_sampler_rejects_zero_count(self):
         with pytest.raises(ValueError, match="count"):
             sc.sample_states("cube", 0, sc.RngSpec(seed=0))
@@ -442,7 +453,8 @@ class TestSampleState:
 
         class Stream:
             def __init__(self, seed, stream):
-                self.random = iter(doubles).__next__
+                # a one-row block is 2 draws; zeros give u = v = -1, outside the disc, as the array fake's zero rows do
+                self.random = iter(doubles + [0.0, 0.0]).__next__
 
         class Generator:
             def random(self, shape):

@@ -382,7 +382,7 @@ class TestOverlap:
                     continue
                 message = (
                     f"{name}={triple.as_tuple()} is outside the quantum ball "
-                    f"(radius_squared={radius_squared:.6f} > 0.25)"
+                    f"(radius_squared={radius_squared!r} > 0.25)"
                 )
                 with pytest.raises(sc.NonQuantumStateError, match=f"^{re.escape(message)}$"):
                     sc.overlap(*args)
