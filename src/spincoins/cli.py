@@ -264,6 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
     for command, (help_text, arguments, _compute) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=help_text)
+        # argparse takes an argument that starts with "-" for a value only if _negative_number_matcher matches it, and
+        # the default, ^-\d+$|^-\d*\.\d+$, misses exponents such as -1e-3. No option here is "-" then a digit or ".digit".
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         # Added in the order --help and usage lines have always shown: integer flags after the rest, --seed last
         for name, kind, help_text, *default in sorted(arguments, key=lambda a: isinstance(a[1], range) + (a[0] == "--seed")):
             options = {"required": not default, "default": default[0] if default else None} if name.startswith("--") else {}

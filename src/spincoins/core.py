@@ -154,12 +154,15 @@ def _coerce_fields(
 
 
 def _payload_fields(payload: Any, names: tuple[str, ...], kind: type[CoinStateError]) -> list[Any]:
-    """The raw values of the named fields of an object payload; checks its shape only, not the values."""
+    """The raw values of an object payload with exactly the named fields; checks its shape only, not the values."""
     if not isinstance(payload, Mapping):
         raise kind(f"expected an object with {', '.join(names)}, got {_show(payload)}")
     for name in names:
         if name not in payload:
             raise kind(f"missing field {name!r}")
+    for name in payload:
+        if name not in names:
+            raise kind(f"unexpected field {_show(name)}")
     return [payload[name] for name in names]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import errno
 import io
 import json
@@ -10,13 +11,14 @@ import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
 from golden_cases import JSON_CASES, SVG_CASES, STATE_MIXED, STATE_TILTED, OBS_SIGMA_X, OBS_SIGMA_Z
-from spincoins import coinsim
+from spincoins import cli, coinsim
 from spincoins.cli import _SUBCOMMANDS, DEFAULT_SEED, SEED_ENV_VAR, run
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -285,6 +287,39 @@ class TestExitCodes:
         assert out == ""
         assert not out_path.exists()
         assert "at most 100000 px per unit" in capsys.readouterr().err
+
+    def test_domain_error_render_negative_scale_in_exponent_form(self, tmp_path, capsys):
+        out_path = tmp_path / "triad.svg"
+        code, out = run_cli(["render", STATE_MIXED, "--out", str(out_path), "--scale", "-1e2"])
+        assert (code, out) == (1, "")
+        assert not out_path.exists()
+        assert "scale must be a positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["-1e-3", "-1E2", "-5e-05"])
+    def test_negative_value_in_exponent_form_is_the_flag_value(self, lam):
+        argv = ["genfun", "--state", STATE_TILTED, "--obs", OBS_SIGMA_X]
+        code, out = run_cli([*argv, "--lam", lam])
+        assert code == 0
+        assert (code, out) == run_cli([*argv, f"--lam={lam}"])
+
+    @pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+    def test_help_is_that_of_argparse_own_negative_number_rule(self, command, monkeypatch):
+        code, out = run_cli([command, "--help"])
+        # build_parser with argparse's default rule, under which --lam -1e-3 is a missing value
+        default = argparse.ArgumentParser()._negative_number_matcher
+        monkeypatch.setattr(cli, "re", types.SimpleNamespace(compile=lambda _pattern: default))
+        assert run_cli(["genfun", "--state", STATE_TILTED, "--obs", OBS_SIGMA_X, "--lam", "-1e-3"])[0] == 2
+        assert (code, out) == run_cli([command, "--help"])
+        assert code == 0 and out.startswith(f"usage: spincoins {command} [-h]")
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", '{"p1": 0.5, "p2": 0.5, "p3": 0.5, "p4": 1}'],
+        ["genfun", "--lam", "1", "--state", STATE_MIXED, "--obs", '{"x": 1, "y": 0, "p4": 1, "z1": 0, "z2": 0}'],
+        ["to-probs", '{"m": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]], "p4": 1, "n": 2}'],
+    ], ids=["state", "observable", "matrix"])
+    def test_domain_error_unexpected_payload_field_is_named(self, argv, capsys):
+        assert run_cli(argv) == (1, "")
+        assert capsys.readouterr().err == "error: unexpected field 'p4'\n"
 
     def test_moments_stay_finite_where_twice_the_dot_product_overflows(self, capsys):
         # f = 2 (d.(x, y, z) / r) is finite, so m_0 is 1; the exact m_1 = 1.8e308 does overflow.

@@ -474,6 +474,18 @@ class TestHostileInput:
             _returns_or_names_field(kind, name, cls.from_dict, payload)
 
     @pytest.mark.parametrize(
+        "cls,fields,kind",
+        [*SCALAR_VALUE_TYPES, (sc.DensityMatrix, {"m": [[1, 0], [0, 0], [0, 0], [0, 0]]}, sc.InvalidDensityMatrixError)],
+        ids=["triple", "bloch", "observable", "matrix"],
+    )
+    def test_from_dict_names_the_first_unexpected_field(self, cls, fields, kind):
+        assert cls.from_dict(fields) == cls.from_dict(dict(reversed(fields.items())))
+        with pytest.raises(kind, match="^unexpected field 'spin'$"):
+            cls.from_dict({**fields, "spin": 0.5, "p4": 1})
+        with pytest.raises(kind, match="^unexpected field 10$"):
+            cls.from_dict({10: 0.5, **fields})
+
+    @pytest.mark.parametrize(
         "value", [*HOSTILE.values(), [[1, 2], [3]], np.eye(3)], ids=[*HOSTILE.keys(), "ragged", "3x3"]
     )
     def test_density_matrix_returns_or_names_the_field(self, value):

@@ -286,6 +286,13 @@ class TestTwoPointLawOverTheFloatRange:
         assert seq.moments == (1.0,)
         assert sc.generating_function(p, obs, 0.0) == 1.0
 
+    def test_a_zero_weight_term_has_the_sign_of_the_other_term(self):
+        # f = -1, so the outcome c + r = -1e-200 has weight 0. The other term, (-2e-200)^n, underflows to
+        # the zero of the sign of (-1)^n, so the zero-weight term must carry that sign: +0.0 would give m_3 = +0.0.
+        p, obs = sc.ProbabilityTriple(0.5, 0.5, 0.0), sc.GameObservable(0.0, 0.0, -1e-200, -2e-200)
+        assert sc.moments(p, obs, 0).f == -1.0
+        assert [m.hex() for m in sc.moments(p, obs, 5).moments[2:]] == ["0x0.0p+0", "-0x0.0p+0", "0x0.0p+0", "-0x0.0p+0"]
+
     def test_first_moment_is_zero_where_the_radius_overflows(self):
         # r = hypot(1.7e308, 1.7e308) is inf, so the two-point law's w+ (c + r) + w- (c - r) is
         # inf - inf = NaN; the mean is 0.

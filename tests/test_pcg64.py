@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import collections
+import inspect
+import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincoins import coinsim
-from spincoins._pcg64 import _CHUNK, Stream
+from spincoins._pcg64 import _CHUNK, _MULTIPLIER, Stream
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 RANDOM_SEEDS = [random.Random(19).getrandbits(64) for _ in range(5)]
@@ -69,9 +73,8 @@ def test_binomials_match_generator_binomial():
 
 # BTPE's two tail rejections, found once by a search over seeds and confirmed by a line trace to
 # be taken by the first draw of each stream: a left-tail candidate y < 0 (n p near 31) and a
-# right-tail candidate y > n (p near 1/2, n = 63). The inversion's restart past its 10-sigma bound
-# and BTPE's v == 0.0 rejections need a tail beyond 10 standard deviations or a double of exactly
-# 0 (chance 2**-53 a draw), so no test reaches them.
+# right-tail candidate y > n (p near 1/2, n = 63). The branches that need a chosen double are
+# pinned by RARE_BRANCHES below.
 TAIL_REJECTIONS = {
     "left-680": (4787644678407225177, 680, 0.04532813159511023),
     "left-575": (11074907437122933099, 575, 0.05592364501366351),
@@ -84,6 +87,81 @@ TAIL_REJECTIONS = {
 def test_btpe_tail_rejections_match_generator_binomial(case):
     seed, n, p = TAIL_REJECTIONS[case]
     assert Stream(seed, 0).binomial(n, p) == coinsim.RngSpec(seed).generator().binomial(n, p)
+
+
+def traced(call, function):
+    """``call()``'s result, the line numbers of ``function`` it ran, counted, and that function's locals at its last return."""
+    code, lines, last = function.__code__, collections.Counter(), {}
+
+    def tracer(frame, event, _arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            lines[frame.f_lineno] += 1
+        elif event == "return":
+            last.update(frame.f_locals)
+        return tracer
+
+    before = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = call()
+    finally:
+        sys.settrace(before)
+    return result, lines, last
+
+
+def line_after(function, text, occurrence):
+    """The number of the line after the ``occurrence``-th line of ``function`` whose code, comment aside, is ``text``."""
+    source, first = inspect.getsourcelines(function)
+    return first + 1 + [i for i, line in enumerate(source) if line.split("#")[0].strip() == text][occurrence]
+
+
+def crafted(first, second):
+    """A PCG64 (state, increment) whose next two doubles are ``first`` and ``second`` in [0, 1), each cut to a multiple of 2**-53.
+
+    Each of the two post-step states is below 2**64, so its XSL-RR rotation is 0 and its output is its
+    low word: the double's 53 bits, shifted up by 11. The increment makes the second step land on the
+    second state, and the first state is the step back from the first by the multiplier's inverse.
+    """
+    s1, s2 = int(first * 2**53) << 11, int(second * 2**53) << 11
+    increment = (s2 - s1 * _MULTIPLIER) % 2**128
+    return (s1 - increment) * pow(_MULTIPLIER, -1, 2**128) % 2**128, increment
+
+
+# BTPE's regions for binomial(10**4, 0.3), read from its locals: the triangle ends at p1, the
+# parallelograms at p2, the left tail at p3 and the right tail at p4, each a share of p4 of the first double.
+_, _, BTPE = traced(lambda: Stream(0, 0).binomial(10**4, 0.3), Stream._btpe)
+# The least double whose u = double * p4 passes p1: x rounds to xl there, so v = 0.0 for a second double of 0.0.
+JUST_PAST_P1 = next(k * 2**-53 for k in itertools.count(math.floor(BTPE["p1"] / BTPE["p4"] * 2**53)) if k * 2**-53 * BTPE["p4"] > BTPE["p1"])
+# Branches that about one draw in 2**53 takes, each reached by a chosen first double and a second double of 0.0:
+# (n, p, the function, the line before the branch, which of its occurrences, the first double).
+RARE_BRANCHES = {
+    # u = 1 - 2**-53 outlasts the pmf's rounded sum, so x passes its bound and the inversion draws again.
+    "inversion-restart": (5, 0.1, Stream._inversion, "if x > bound:", 0, 1.0 - 2**-53),
+    # u in the left tail (p2, p3] and v == 0.0, whose log C takes and then rejects.
+    "btpe-left-tail-v-zero": (10**4, 0.3, Stream._btpe, "if v == 0.0:", 0, (BTPE["p2"] + BTPE["p3"]) / 2 / BTPE["p4"]),
+    # u in the right tail (p3, p4] and v == 0.0.
+    "btpe-right-tail-v-zero": (10**4, 0.3, Stream._btpe, "if v == 0.0:", 1, (BTPE["p3"] + BTPE["p4"]) / 2 / BTPE["p4"]),
+    # u just past p1, in the left parallelogram: v = 0.0, and the squeeze accepts y = xl = m - 97.
+    "btpe-squeeze-v-zero": (10**4, 0.3, Stream._btpe, "if not v > 0.0:", 0, JUST_PAST_P1),
+}
+
+
+@pytest.mark.parametrize("case", list(RARE_BRANCHES))
+def test_rare_branches_match_generator_binomial(case):
+    n, p, function, text, occurrence, first = RARE_BRANCHES[case]
+    state, increment = crafted(first, 0.0)
+    pure = Stream(0, 0)
+    pure._state, pure._increment = state, increment
+    reference = np.random.Generator(np.random.PCG64(0))
+    reference.bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": increment}, "has_uint32": 0, "uinteger": 0,
+    }
+    draw, lines, _ = traced(lambda: pure.binomial(n, p), function)
+    assert lines[line_after(function, text, occurrence)] == 1, case
+    assert draw == reference.binomial(n, p)
+    assert pure.random() == reference.random()
 
 
 # One double, either side of a chunk, one past two chunks, and a lone worker's whole block of quantum_fraction rows.
