@@ -70,15 +70,10 @@ def _json_argument(raw: str, field: str) -> Any:
         raise UsageError(f"{field}: unreadable JSON ({exc})") from None
 
 
-def _abridged(text: str) -> str:
-    """``repr(text)`` for an error message, cut to its first 20 characters and its length when longer than 40."""
-    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
-
-
 def _decimal(text: str) -> str:
     """argparse type of the integer flags: ``text`` if it spells a decimal integer, of any length; _checked converts it."""
     if _DECIMAL.fullmatch(text) is None:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_abridged(text)}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {core._abridged(text)}")
     return text
 
 
@@ -215,7 +210,7 @@ def _checked(args: argparse.Namespace, name: str, kind: Any) -> Any:
     if value is None:  # only --seed has no default: $SPINCOINS_SEED stands in for it, and DEFAULT_SEED for both
         name, value = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
         if _DECIMAL.fullmatch(value) is None:  # parse_args has checked the flags' spelling, through _decimal
-            raise UsageError(f"{SEED_ENV_VAR}={_abridged(value)} is not an integer seed")
+            raise UsageError(f"{SEED_ENV_VAR}={core._abridged(value)} is not an integer seed")
     value = _bounded_int(value, name, kind)
     return spincoins.RngSpec(value) if dest == "seed" else value
 
@@ -264,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
     for command, (help_text, arguments, _compute) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        # argparse takes an argument that starts with "-" for a value only if _negative_number_matcher matches it, and
-        # the default, ^-\d+$|^-\d*\.\d+$, misses exponents such as -1e-3. No option here is "-" then a digit or ".digit".
+        # argparse takes an argument that starts with "-" for a value only if _negative_number_matcher matches it; its default
+        # differs between Python versions, and some miss exponents such as -1e-3. No option here is "-" then a digit or ".digit".
         p._negative_number_matcher = re.compile(r"-\.?\d")
         # Added in the order --help and usage lines have always shown: integer flags after the rest, --seed last
         for name, kind, help_text, *default in sorted(arguments, key=lambda a: isinstance(a[1], range) + (a[0] == "--seed")):

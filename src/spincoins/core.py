@@ -104,6 +104,11 @@ def _show(value: Any) -> str:
         return f"<{type(value).__name__} too long to print>"
 
 
+def _abridged(text: str) -> str:
+    """``repr(text)`` for an error message, cut to its first 20 characters and its length when longer than 40."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
 # The bounds of the numbers that spincoins.cli checks before it imports the module that takes them.
 # Largest seed an RngSpec takes: one unsigned 64-bit word.
 MAX_SEED = 2**64 - 1
@@ -162,7 +167,7 @@ def _payload_fields(payload: Any, names: tuple[str, ...], kind: type[CoinStateEr
             raise kind(f"missing field {name!r}")
     for name in payload:
         if name not in names:
-            raise kind(f"unexpected field {_show(name)}")
+            raise kind(f"unexpected field {_abridged(name) if isinstance(name, str) else _show(name)}")
     return [payload[name] for name in names]
 
 

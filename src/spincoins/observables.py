@@ -124,17 +124,20 @@ def mean(p: ProbabilityTriple, obs: GameObservable) -> float:
     return mean_x + mean_y + mean_z
 
 
-def _two_point_law(p: ProbabilityTriple, obs: GameObservable) -> tuple[float, tuple[float, float], tuple[float, float]]:
-    """Anisotropy f = (<A> - c) / r (0 if r = 0) and the outcomes c + r, c - r, each with its weight (1 +- f) / 2.
+def _two_point_law(
+    p: ProbabilityTriple, obs: GameObservable
+) -> tuple[float, tuple[float, float], tuple[float, float], tuple[float, float]]:
+    """Anisotropy f = (<A> - c) / r (0 if r = 0), c + r and c - r each with its weight (1 +- f) / 2, and (c - r, c + r).
 
     f is computed as 2 (d . (x, y, z) / r) with d = p - 1/2: free of the cancellation in <A> - c that can
     push |f| of a pure state past 1, and finite wherever f is, as the quotient is taken before the doubling.
-    An outcome of weight 0 (f = +-1, so the other weight is 1.0) is returned as the zero of its sign: its power
-    or exponential cannot overflow, and w v^n (n >= 2) and w exp(lam v) keep their bits.
+    An outcome of weight 0 (f = +-1, so the other weight is 1.0) is paired with the zero of its sign, whole only in
+    the last item: its power or exponential cannot overflow, and w v^n (n >= 2) and w exp(lam v) keep their bits.
     """
     f = 0.0 if obs.is_degenerate() else 2.0 * (_dot(_offset(p), (obs.x, obs.y, obs.z)) / obs.r)
     (down, up), w_plus, w_minus = obs.eigenvalues(), (1.0 + f) / 2.0, (1.0 - f) / 2.0
-    return f, (up if w_plus else math.copysign(0.0, up), w_plus), (down if w_minus else math.copysign(0.0, down), w_minus)
+    return (f, (up if w_plus else math.copysign(0.0, up), w_plus), (down if w_minus else math.copysign(0.0, down), w_minus),
+            (down, up))
 
 
 def second_moment(p: ProbabilityTriple, obs: GameObservable) -> float:
@@ -151,7 +154,7 @@ def generating_function(p: ProbabilityTriple, obs: GameObservable, lam: float) -
     lam = _as_float(lam, "lam", ValueError, "finite")
     if not math.isfinite(lam):
         raise ValueError(f"lam={lam!r} is not finite")
-    _, (up, w_plus), (down, w_minus) = _two_point_law(p, obs)
+    _, (up, w_plus), (down, w_minus), _ = _two_point_law(p, obs)
     return w_plus * math.exp(lam * up) + w_minus * math.exp(lam * down)
 
 
@@ -162,16 +165,11 @@ def moments(p: ProbabilityTriple, obs: GameObservable, n_max: int) -> MomentSequ
     the mean, and each is accurate at every order; a power beyond the float range raises OverflowError.
     """
     n_max = _as_int(n_max, "n_max", 0)
-    f, (up, w_plus), (down, w_minus) = _two_point_law(p, obs)
+    f, (up, w_plus), (down, w_minus), _ = _two_point_law(p, obs)
     # A list, not a generator: a tuple made of a list has the exact size, which
     # keeps CPython's per-size tuple free lists from filling up (MBs of RSS).
     law = [w_plus * up**n + w_minus * down**n for n in range(2, n_max + 1)]
-    return MomentSequence(
-        moments=(1.0, mean(p, obs), *law)[: n_max + 1],
-        c=obs.c,
-        r=obs.r,
-        f=None if obs.is_degenerate() else f,
-    )
+    return MomentSequence(moments=(1.0, mean(p, obs), *law)[: n_max + 1], c=obs.c, r=obs.r, f=None if obs.is_degenerate() else f)
 
 
 def outcome_distribution(
@@ -186,11 +184,12 @@ def outcome_distribution(
     """
     if obs.is_degenerate():
         return [(obs.c, 1.0)]
-    f, (_, w_plus), (_, w_minus) = _two_point_law(p, obs)
+    f, (_, w_plus), (_, w_minus), (down, up) = _two_point_law(p, obs)
     if not _in_ball(f * f / 4.0):
         raise NonQuantumStateError(
             f"anisotropy coefficient {f!r} exceeds 1 in magnitude; "
             f"p={p.as_tuple()} is not a quantum state for this observable"
         )
-    down, up = obs.eigenvalues()
-    return [(up, max(0.0, min(1.0, w_plus))), (down, max(0.0, min(1.0, w_minus)))]
+    if abs(f) > 1.0:  # past 1 by no more than the ball's tolerance: the probabilities of f = +-1
+        w_plus, w_minus = (1.0, 0.0) if f > 0.0 else (0.0, 1.0)
+    return [(up, w_plus), (down, w_minus)]

@@ -305,10 +305,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", list(_SUBCOMMANDS))
     def test_help_is_that_of_argparse_own_negative_number_rule(self, command, monkeypatch):
         code, out = run_cli([command, "--help"])
-        # build_parser with argparse's default rule, under which --lam -1e-3 is a missing value
+        # build_parser with argparse's default rule, which differs between Python versions
         default = argparse.ArgumentParser()._negative_number_matcher
         monkeypatch.setattr(cli, "re", types.SimpleNamespace(compile=lambda _pattern: default))
-        assert run_cli(["genfun", "--state", STATE_TILTED, "--obs", OBS_SIGMA_X, "--lam", "-1e-3"])[0] == 2
+        if default.match("-1e-3") is None:  # a rule under which --lam -1e-3 is a missing value
+            assert run_cli(["genfun", "--state", STATE_TILTED, "--obs", OBS_SIGMA_X, "--lam", "-1e-3"])[0] == 2
         assert (code, out) == run_cli([command, "--help"])
         assert code == 0 and out.startswith(f"usage: spincoins {command} [-h]")
 

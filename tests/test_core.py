@@ -484,6 +484,8 @@ class TestHostileInput:
             cls.from_dict({**fields, "spin": 0.5, "p4": 1})
         with pytest.raises(kind, match="^unexpected field 10$"):
             cls.from_dict({10: 0.5, **fields})
+        with pytest.raises(kind, match=r"^unexpected field 'ssssssssssssssssssss'\.\.\. \(100000 characters\)$"):
+            cls.from_dict({**fields, "s" * 10**5: 0.5})
 
     @pytest.mark.parametrize(
         "value", [*HOSTILE.values(), [[1, 2], [3]], np.eye(3)], ids=[*HOSTILE.keys(), "ragged", "3x3"]
