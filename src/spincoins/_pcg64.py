@@ -77,7 +77,7 @@ def _seed_words(seed: int, stream: int) -> list[int]:
 class Stream:
     """One seeded PCG64 stream: ``random`` and ``binomial`` draw from it as numpy's Generator does."""
 
-    __slots__ = ("_state", "_increment")
+    __slots__ = ("_state", "_increment", "_lanes")
 
     def __init__(self, seed: int, stream: int) -> None:
         words = _seed_words(seed, stream)
@@ -88,6 +88,8 @@ class Stream:
         # pcg_setseq_128_srandom_r: step from 0, add the initial state, step again.
         self._increment = (sequence << 1 | 1) & _MASK128
         self._state = ((self._increment + state) * _MULTIPLIER + self._increment) & _MASK128
+        # the state the last fill left, with its last chunk's states and jump; None unless that chunk was whole
+        self._lanes: tuple[int, np.ndarray, np.ndarray, int, int] | None = None
 
     def random(self) -> float:
         """The next double in [0, 1): the top 53 bits of the next 64-bit output."""
@@ -101,19 +103,26 @@ class Stream:
         ``out`` must be a C-contiguous float64 array of at least one element; neither is checked.
         The first chunk's states grow from one LCG step by leapfrog: the next k states are
         a s + c of the k so far, and (a, c) becomes (a^2, a c + c), the jump of 2k steps.
-        Each later chunk is the one before it moved by the jump of a whole chunk.
+        Each later chunk is the one before it moved by the jump of a whole chunk. A fill that
+        ends on a whole chunk keeps that chunk's states and jump, and the next fill resumes from
+        them while the stream is still where that fill left it, instead of growing them again.
         """
         import numpy as np
 
-        flat, n = out.reshape(-1), out.size
-        state = (self._state * _MULTIPLIER + self._increment) & _MASK128
-        lo, hi = np.array([state & _MASK64], np.uint64), np.array([state >> 64], np.uint64)
-        mult, add, size = _MULTIPLIER, self._increment, min(n, _CHUNK)
-        while lo.size < size:
-            next_lo, next_hi = _mul_add(lo, hi, mult, add)
-            lo, hi = np.concatenate((lo, next_lo)), np.concatenate((hi, next_hi))
-            mult, add = mult * mult & _MASK128, (mult * add + add) & _MASK128
-        lo, hi, start = lo[:size], hi[:size], 0
+        flat, n, size = out.reshape(-1), out.size, min(out.size, _CHUNK)
+        if self._lanes is not None and self._lanes[0] == self._state:
+            _, lo, hi, mult, add = self._lanes
+            lo, hi = _mul_add(lo[:size], hi[:size], mult, add)
+        else:
+            state = (self._state * _MULTIPLIER + self._increment) & _MASK128
+            lo, hi = np.array([state & _MASK64], np.uint64), np.array([state >> 64], np.uint64)
+            mult, add = _MULTIPLIER, self._increment
+            while lo.size < size:
+                next_lo, next_hi = _mul_add(lo, hi, mult, add)
+                lo, hi = np.concatenate((lo, next_lo)), np.concatenate((hi, next_hi))
+                mult, add = mult * mult & _MASK128, (mult * add + add) & _MASK128
+            lo, hi = lo[:size], hi[:size]
+        start = 0
         while True:
             value, rotation = hi ^ lo, hi >> 58  # XSL-RR, with the left shift kept below 64
             value = value >> rotation | value << ((64 - rotation) & 63)
@@ -124,6 +133,8 @@ class Stream:
             size = min(n - start, _CHUNK)
             lo, hi = _mul_add(lo[:size], hi[:size], mult, add)
         self._state = int(hi[-1]) << 64 | int(lo[-1])
+        # (mult, add) is the jump of a whole chunk whenever a chunk is whole
+        self._lanes = (self._state, lo, hi, mult, add) if size == _CHUNK else None
 
     def binomial(self, n: int, p: float) -> int:
         """Heads among ``n`` tosses of a coin with heads probability ``p``, for n from 0 to 2**53."""

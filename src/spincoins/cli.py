@@ -55,9 +55,9 @@ def _json_argument(raw: str, field: str) -> Any:
         try:
             text = Path(raw).read_text(encoding="utf-8")
         except OSError as exc:
-            raise UsageError(f"{field}: cannot read file {raw!r} ({exc.strerror})") from None
+            raise UsageError(f"{field}: cannot read file {core._show(raw)} ({exc.strerror})") from None
         except ValueError as exc:  # not UTF-8, or a NUL byte in the path
-            raise UsageError(f"{field}: cannot read file {raw!r} ({exc})") from None
+            raise UsageError(f"{field}: cannot read file {core._show(raw)} ({exc})") from None
 
     def reject_constant(token: str) -> Any:
         raise UsageError(f"{field}: malformed JSON ({token} is not a JSON number)")
@@ -73,7 +73,7 @@ def _json_argument(raw: str, field: str) -> Any:
 def _decimal(text: str) -> str:
     """argparse type of the integer flags: ``text`` if it spells a decimal integer, of any length; _checked converts it."""
     if _DECIMAL.fullmatch(text) is None:
-        raise argparse.ArgumentTypeError(f"invalid int value: {core._abridged(text)}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {core._show(text)}")
     return text
 
 
@@ -210,7 +210,7 @@ def _checked(args: argparse.Namespace, name: str, kind: Any) -> Any:
     if value is None:  # only --seed has no default: $SPINCOINS_SEED stands in for it, and DEFAULT_SEED for both
         name, value = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
         if _DECIMAL.fullmatch(value) is None:  # parse_args has checked the flags' spelling, through _decimal
-            raise UsageError(f"{SEED_ENV_VAR}={core._abridged(value)} is not an integer seed")
+            raise UsageError(f"{SEED_ENV_VAR}={core._show(value)} is not an integer seed")
     value = _bounded_int(value, name, kind)
     return spincoins.RngSpec(value) if dest == "seed" else value
 

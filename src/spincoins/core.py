@@ -97,16 +97,17 @@ def _is_number(value: Any) -> bool:
 
 
 def _show(value: Any) -> str:
-    """``repr(value)`` for an error message; an int of more than 4300 digits cannot be printed."""
+    """``repr(value)`` for an error message, cut to its first 20 characters and its length when longer than 40.
+
+    A str is cut before it is quoted, so the length is its own; an int of more than 4300 digits cannot be printed.
+    """
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
     try:
-        return repr(value)
+        text = repr(value)
     except ValueError:
         return f"<{type(value).__name__} too long to print>"
-
-
-def _abridged(text: str) -> str:
-    """``repr(text)`` for an error message, cut to its first 20 characters and its length when longer than 40."""
-    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+    return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
 
 
 # The bounds of the numbers that spincoins.cli checks before it imports the module that takes them.
@@ -153,7 +154,7 @@ def _coerce_fields(
         value = getattr(obj, name)
         numeric = value if type(value) is float else _as_float(value, name, kind, domain)
         if not (math.isfinite(numeric) and low <= numeric <= high):
-            raise kind(f"field {name!r} must be {domain}, got {value!r}")
+            raise kind(f"field {name!r} must be {domain}, got {_show(value)}")
         if numeric is not value:  # a plain float is checked where the dataclass __init__ stored it
             object.__setattr__(obj, name, numeric)
 
@@ -167,7 +168,7 @@ def _payload_fields(payload: Any, names: tuple[str, ...], kind: type[CoinStateEr
             raise kind(f"missing field {name!r}")
     for name in payload:
         if name not in names:
-            raise kind(f"unexpected field {_abridged(name) if isinstance(name, str) else _show(name)}")
+            raise kind(f"unexpected field {_show(name)}")
     return [payload[name] for name in names]
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .core import BALL_CENTER, MAX_SCALE, ProbabilityTriple, _as_float, _dot, _offset
+from .core import BALL_CENTER, MAX_SCALE, ProbabilityTriple, _as_float, _dot, _offset, _show
 
 Region = Literal["cube", "ball"]
 
@@ -106,7 +106,7 @@ def maximize_area(region: Region) -> ExtremizationResult:
     elif region == "ball":
         points = ((BALL_CENTER + sign * _BALL_DIAGONAL_OFFSET,) * 3 for sign in (-1.0, 1.0))
     else:
-        raise ValueError(f"region must be 'cube' or 'ball', got {region!r}")
+        raise ValueError(f"region must be 'cube' or 'ball', got {_show(region)}")
     candidates = [ProbabilityTriple(*point) for point in points]
     best_p = max(candidates, key=area_sum_closed_form)
     return ExtremizationResult(

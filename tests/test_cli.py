@@ -18,7 +18,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from golden_cases import JSON_CASES, SVG_CASES, STATE_MIXED, STATE_TILTED, OBS_SIGMA_X, OBS_SIGMA_Z
-from spincoins import cli, coinsim
+from spincoins import cli, coinsim, core
 from spincoins.cli import _SUBCOMMANDS, DEFAULT_SEED, SEED_ENV_VAR, run
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -174,6 +174,20 @@ class TestExitCodes:
             code, out = run_cli([*BASE_ARGV["sample"], "--seed", "7" * digits])
             assert (code, out) == (1, "")
             assert capsys.readouterr().err == f"error: --seed must be at most {2**64 - 1}, got {shown}\n"
+
+    # Each message that echoes a long payload value or path shows its first 20 characters and its length.
+    LONG_ECHOES = {
+        "file-path": (2, "x" * 10**5, "usage error: state: cannot read file 'xxxxxxxxxxxxxxxxxxxx'... (100000 characters) (File name too long)"),
+        "p1-string": (1, json.dumps({"p1": "x" * 10**5, "p2": 0.5, "p3": 0.5}), "error: field 'p1' must be a number, got 'xxxxxxxxxxxxxxxxxxxx'... (100000 characters)"),
+        "list-payload": (1, json.dumps([0.5] * 20000), "error: expected an object with p1, p2, p3, got [0.5, 0.5, 0.5, 0.5,... (100000 characters)"),
+        "p1-past-the-cube": (1, json.dumps({"p1": 10**100, "p2": 0.5, "p3": 0.5}), "error: field 'p1' must be a coin probability in [0, 1], got 10000000000000000000... (101 characters)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LONG_ECHOES))
+    def test_error_echoing_a_long_value_is_one_short_line(self, case, capsys):
+        code, payload, message = self.LONG_ECHOES[case]
+        assert run_cli(["validate", payload]) == (code, "")
+        assert capsys.readouterr().err == message + "\n"
 
     @pytest.mark.parametrize("command", ["simulate", "sample", "quantum-fraction"])
     def test_env_seed_past_the_digit_limit(self, command, monkeypatch, capsys):
@@ -394,7 +408,7 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         err = capsys.readouterr().err
-        assert err.startswith(f"usage error: state: cannot read file {str(path)!r} (")
+        assert err.startswith(f"usage error: state: cannot read file {core._show(str(path))} (")
         assert "codec can't decode byte 0xff" in err
 
     def test_usage_error_file_path_with_nul_byte(self, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import math
 import os
 import re
@@ -21,6 +22,7 @@ import pytest
 import spincoins as sc
 import spincoins._pcg64
 from spincoins import coinsim
+from spincoins._pcg64 import _CHUNK
 from oracles import binomial_pmf, chi_square_survival, reference_states
 
 PI_SIXTH = math.pi / 6.0
@@ -318,6 +320,11 @@ class TestSampleState:
         with pytest.raises(ValueError, match="region"):
             sc.sample_states("torus", 1, sc.RngSpec(seed=0))
 
+    def test_a_long_region_is_shown_cut(self):
+        message = "region must be 'cube', 'ball' or 'sphere', got 'xxxxxxxxxxxxxxxxxxxx'... (100000 characters)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sc.sample_states("x" * 10**5, 1, sc.RngSpec(seed=0))
+
     def test_bulk_sampler_draws_sequentially(self):
         spec = sc.RngSpec(seed=5)
         states = sc.sample_states("cube", 4, spec)
@@ -523,12 +530,13 @@ class TestQuantumFraction:
         # Each chunk's generator is advanced to its first row, so splitting
         # the stream over threads changes no row and no count. A short switch
         # interval makes the threads interleave often, so a lost update shows.
-        # b is a lone worker's block: b - 1 and b rows fill one block, b + 1 and 2b + 1 end on a one-row block.
+        # b is a lone Generator worker's block: b - 1 and b rows fill one block, b + 1 and 2b + 1 end on a one-row block.
         # Below 4b = 2^17 rows one worker counts them all, and a process without numpy.random fills them through
-        # the pure stream; from 4b rows both processes draw through numpy's generators. So the fill path runs only
-        # below 4b, at one CPU and at the most, and 4b - 1 and 4b are the last count it takes and the first it leaves.
-        b = coinsim._BLOCK_ROWS // 2
-        sizes = (1000, b - 1, b, b + 1, 2 * b + 1, 123457, 4 * b - 1, 4 * b, 3 * 2**16 + 1, 10**7)
+        # the pure stream, in blocks of c = _CHUNK rows, with the same edges; from 4b rows both processes draw
+        # through numpy's generators. So the fill path runs only below 4b, at one CPU and at the most, and 4b - 1
+        # and 4b are the last count it takes and the first it leaves.
+        b, c = coinsim._BLOCK_ROWS // 2, _CHUNK
+        sizes = (1000, c - 1, c, c + 1, 2 * c + 1, b - 1, b, b + 1, 2 * b + 1, 123457, 4 * b - 1, 4 * b, 3 * 2**16 + 1, 10**7)
         fill_sizes = sizes[: sizes.index(4 * b)]
         fractions = {}
         interval = sys.getswitchinterval()
@@ -598,12 +606,17 @@ class TestQuantumFraction:
         assert not workers[0].is_alive()
         assert len(after_interrupt) <= 2
 
-    @pytest.mark.parametrize("cpus", [1, 2, 8])
-    @pytest.mark.parametrize("n", [10**5, 10**6])
-    def test_working_memory_stays_within_the_buffer_bound(self, cpus, n, monkeypatch):
+    @pytest.mark.parametrize(
+        "cpus, n, numpy_random", [*itertools.product([1, 2, 8], [10**5, 10**6], [True]), (1, 10**5, False)]
+    )
+    def test_working_memory_stays_within_the_buffer_bound(self, cpus, n, numpy_random, monkeypatch):
         # All workers' buffers together hold at most _BLOCK_ROWS rows of 33 bytes: three doubles,
         # one double of running total and the one-byte mask of a block's ball test. 64 KiB covers the Python objects around them.
+        # Without numpy.random, 10^5 rows are filled through the pure stream in blocks of _CHUNK rows, and the fill
+        # adds at most 18 uint64 arrays of a chunk: its lanes, kept between fills, and the temporaries of one step.
         monkeypatch.setattr(coinsim, "_usable_cpus", lambda: cpus)
+        if not numpy_random:
+            monkeypatch.delitem(sys.modules, "numpy.random")
         sc.quantum_fraction(n, sc.RngSpec(seed=0))  # imports numpy and warms its caches first
         tracemalloc.start()
         try:
@@ -611,7 +624,8 @@ class TestQuantumFraction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= coinsim._BLOCK_ROWS * 33 + 64 * 1024
+        buffers = coinsim._BLOCK_ROWS * 33 if numpy_random else _CHUNK * 33 + 18 * _CHUNK * 8
+        assert peak <= buffers + 64 * 1024
 
     def test_without_an_affinity_mask_the_cpu_count_sets_the_workers(self, monkeypatch):
         # Platforms without os.sched_getaffinity (macOS, Windows) fall back on os.cpu_count,

@@ -164,8 +164,12 @@ def test_rare_branches_match_generator_binomial(case):
     assert pure.random() == reference.random()
 
 
-# One double, either side of a chunk, one past two chunks, and a lone worker's whole block of quantum_fraction rows.
-FILL_SHAPES = [(1,), (_CHUNK - 1,), (_CHUNK,), (_CHUNK + 1,), (2 * _CHUNK + 1,), (coinsim._BLOCK_ROWS // 2, 3)]
+# One double, either side of a chunk, one past two chunks, a lone Generator worker's whole block of quantum_fraction
+# rows, and the pure fill path's block of _CHUNK rows: either side of it and one row past two of them.
+FILL_SHAPES = [
+    (1,), (_CHUNK - 1,), (_CHUNK,), (_CHUNK + 1,), (2 * _CHUNK + 1,), (coinsim._BLOCK_ROWS // 2, 3),
+    (_CHUNK - 1, 3), (_CHUNK, 3), (_CHUNK + 1, 3), (2 * _CHUNK + 1, 3),
+]
 
 
 @pytest.mark.parametrize("shape", FILL_SHAPES, ids=[str(shape) for shape in FILL_SHAPES])
@@ -182,11 +186,17 @@ def test_fill_matches_generator_random_and_leaves_its_state(seed, stream, shape)
     # and so does a second fill, from a state no fill started at
     pure.fill(out)
     assert np.array_equal(out, reference.random(shape))
+    # and a third straight after it, which resumes the second's lanes where that ended on a whole chunk
+    assert (pure._lanes is not None) == (out.size % _CHUNK == 0)
+    pure.fill(out)
+    assert np.array_equal(out, reference.random(shape))
+    assert pure.random() == reference.random()
 
 
 # quantum_fraction's last block fills only a prefix of its worker's buffer: one row, the rows
-# just short of and just past one chunk of doubles, and all but the last row of a lone worker's block.
-PREFIX_ROWS = [1, _CHUNK // 3, _CHUNK // 3 + 1, coinsim._BLOCK_ROWS // 2 - 1]
+# just short of and just past one chunk of doubles, all but the last row of a lone worker's block,
+# and the pure fill path's block of _CHUNK rows: either side of it and one row past two of them.
+PREFIX_ROWS = [1, _CHUNK // 3, _CHUNK // 3 + 1, coinsim._BLOCK_ROWS // 2 - 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
 
 
 @pytest.mark.parametrize("rows", PREFIX_ROWS)
@@ -229,16 +239,22 @@ binomial_cases = st.builds(
 )
 
 
+# Any length, or a whole number of chunks, after which the next fill resumes the lanes unless a double is drawn first.
+fill_lengths = st.one_of(st.integers(1, 2**17), st.integers(1, 2**17 // _CHUNK).map(lambda chunks: chunks * _CHUNK))
+
+
 @settings(max_examples=150, deadline=None)
-@given(seeds, streams, st.lists(st.integers(1, 2**17), min_size=1, max_size=3))
-def test_fill_matches_generator_random_at_any_length(seed, stream, lengths):
+@given(seeds, streams, st.lists(st.tuples(st.booleans(), fill_lengths), min_size=1, max_size=4))
+def test_fill_matches_generator_random_at_any_length(seed, stream, steps):
     pure, reference = Stream(seed, stream), coinsim.RngSpec(seed, stream).generator()
-    for length in lengths:
+    for draw_first, length in steps:
+        if draw_first:
+            assert pure.random() == reference.random(), (seed, stream, steps)
         out, expected = np.empty(length), np.empty(length)
         pure.fill(out)
         reference.random(out=expected)
-        assert np.array_equal(out, expected), (seed, stream, length)
-        assert pure.random() == reference.random(), (seed, stream, length)
+        assert np.array_equal(out, expected), (seed, stream, steps)
+    assert pure.random() == reference.random(), (seed, stream, steps)
 
 
 @settings(max_examples=400, deadline=None)

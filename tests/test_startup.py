@@ -91,6 +91,8 @@ ARRAY_CALLS = {
     # below two blocks, quantum-fraction fills its rows through the pure stream's uint64 arithmetic
     "quantum-fraction": (["quantum-fraction", "--n-samples", "100000", "--seed", "3"], ("coinsim", "_pcg64"), False),
     "quantum-fraction-fewest": (["quantum-fraction", "--n-samples", "1000", "--seed", "3"], ("coinsim", "_pcg64"), False),
+    # the most samples the fill path takes, which end on a partial block
+    "quantum-fraction-most-filled": (["quantum-fraction", "--n-samples", str(2**17 - 1), "--seed", "3"], ("coinsim", "_pcg64"), False),
     "quantum-fraction-two-blocks": (["quantum-fraction", "--n-samples", str(2**17), "--seed", "3"], ("coinsim",), True),
 }
 

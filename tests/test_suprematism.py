@@ -111,6 +111,11 @@ class TestMaximizeArea:
         with pytest.raises(ValueError, match="region"):
             sc.maximize_area("sphere")
 
+    def test_a_long_region_is_shown_cut(self):
+        message = "region must be 'cube' or 'ball', got 'xxxxxxxxxxxxxxxxxxxx'... (100000 characters)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sc.maximize_area("x" * 10**5)
+
     def test_cube_maximum_is_exact_at_first_vertex(self):
         result = sc.maximize_area("cube")
         assert result.best_value == 6.0
