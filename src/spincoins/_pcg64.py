@@ -1,24 +1,16 @@
-"""numpy's seeded PCG64 stream without ``numpy.random``: in pure Python, or filled in numpy's uint64 arithmetic.
+"""numpy's seeded PCG64 stream in pure Python, without numpy.
 
 ``Stream(seed, stream)`` gives, draw for draw, what ``RngSpec(seed, stream).generator()``
 gives: the same seeding, ``SeedSequence(entropy=seed, spawn_key=(stream,))`` then
-``PCG64`` (O'Neill, HMC-CS-2014-0905); ``random()`` as ``Generator.random``;
+``PCG64`` (O'Neill, HMC-CS-2014-0905); ``random()`` as ``Generator.random``; and
 ``binomial(n, p)`` as ``Generator.binomial`` for n up to 2**53, by numpy's
-inversion and BTPE branches (Kachitvichyanukul & Schmeiser, CACM 31(2), 1988);
-and ``fill(out)``, for a C-contiguous float64 ``out`` of at least one element,
-as ``Generator.random(out=out)``. ``fill`` steps many LCG states at once by
-jump-ahead constants (Brown, "Random number generation with arbitrary
-strides", Trans. ANS 71, 1994), each state a pair of uint64 words. The tests
-compare each draw with numpy's.
+inversion and BTPE branches (Kachitvichyanukul & Schmeiser, CACM 31(2), 1988).
+The tests compare each draw with numpy's.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 # SeedSequence's hash constants, and its pool of four uint32 words.
@@ -27,8 +19,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 # PCG64's 128-bit LCG multiplier.
 _MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
-# Doubles per step of fill; a whole block at once would raise the peak RSS by its temporaries.
-_CHUNK = 4096
 
 
 def _words(value: int) -> list[int]:
@@ -77,7 +67,7 @@ def _seed_words(seed: int, stream: int) -> list[int]:
 class Stream:
     """One seeded PCG64 stream: ``random`` and ``binomial`` draw from it as numpy's Generator does."""
 
-    __slots__ = ("_state", "_increment", "_lanes")
+    __slots__ = ("_state", "_increment")
 
     def __init__(self, seed: int, stream: int) -> None:
         words = _seed_words(seed, stream)
@@ -88,53 +78,12 @@ class Stream:
         # pcg_setseq_128_srandom_r: step from 0, add the initial state, step again.
         self._increment = (sequence << 1 | 1) & _MASK128
         self._state = ((self._increment + state) * _MULTIPLIER + self._increment) & _MASK128
-        # the state the last fill left, with its last chunk's states and jump; None unless that chunk was whole
-        self._lanes: tuple[int, np.ndarray, np.ndarray, int, int] | None = None
 
     def random(self) -> float:
         """The next double in [0, 1): the top 53 bits of the next 64-bit output."""
         self._state = state = (self._state * _MULTIPLIER + self._increment) & _MASK128
         value, rotation = (state >> 64 ^ state) & _MASK64, state >> 122  # XSL-RR of the new state
         return (((value >> rotation | value << 64 - rotation) & _MASK64) >> 11) * 2.0**-53
-
-    def fill(self, out: np.ndarray) -> None:
-        """Write the next ``out.size`` doubles into ``out``, as ``Generator.random(out=out)`` does.
-
-        ``out`` must be a C-contiguous float64 array of at least one element; neither is checked.
-        The first chunk's states grow from one LCG step by leapfrog: the next k states are
-        a s + c of the k so far, and (a, c) becomes (a^2, a c + c), the jump of 2k steps.
-        Each later chunk is the one before it moved by the jump of a whole chunk. A fill that
-        ends on a whole chunk keeps that chunk's states and jump, and the next fill resumes from
-        them while the stream is still where that fill left it, instead of growing them again.
-        """
-        import numpy as np
-
-        flat, n, size = out.reshape(-1), out.size, min(out.size, _CHUNK)
-        if self._lanes is not None and self._lanes[0] == self._state:
-            _, lo, hi, mult, add = self._lanes
-            lo, hi = _mul_add(lo[:size], hi[:size], mult, add)
-        else:
-            state = (self._state * _MULTIPLIER + self._increment) & _MASK128
-            lo, hi = np.array([state & _MASK64], np.uint64), np.array([state >> 64], np.uint64)
-            mult, add = _MULTIPLIER, self._increment
-            while lo.size < size:
-                next_lo, next_hi = _mul_add(lo, hi, mult, add)
-                lo, hi = np.concatenate((lo, next_lo)), np.concatenate((hi, next_hi))
-                mult, add = mult * mult & _MASK128, (mult * add + add) & _MASK128
-            lo, hi = lo[:size], hi[:size]
-        start = 0
-        while True:
-            value, rotation = hi ^ lo, hi >> 58  # XSL-RR, with the left shift kept below 64
-            value = value >> rotation | value << ((64 - rotation) & 63)
-            np.multiply(value >> 11, 2.0**-53, out=flat[start : start + size])
-            start += size
-            if start == n:
-                break
-            size = min(n - start, _CHUNK)
-            lo, hi = _mul_add(lo[:size], hi[:size], mult, add)
-        self._state = int(hi[-1]) << 64 | int(lo[-1])
-        # (mult, add) is the jump of a whole chunk whenever a chunk is whole
-        self._lanes = (self._state, lo, hi, mult, add) if size == _CHUNK else None
 
     def binomial(self, n: int, p: float) -> int:
         """Heads among ``n`` tosses of a coin with heads probability ``p``, for n from 0 to 2**53."""
@@ -237,21 +186,6 @@ class Stream:
             if log_v > bound:
                 continue
             return y
-
-
-def _mul_add(lo: np.ndarray, hi: np.ndarray, mult: int, add: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hi 2^64 + lo) mult + add mod 2^128 of uint64 word arrays, as new arrays; lo mult's high word is built from 32-bit halves.
-
-    Every operand is a uint64 array or a Python int below 2^64, so numpy neither promotes to
-    float64 nor warns of a scalar overflow; uint64 array arithmetic wraps silently.
-    """
-    m_lo, a_lo = mult & _MASK64, add & _MASK64
-    x0, x1, y0, y1 = lo & _MASK32, lo >> 32, m_lo & _MASK32, m_lo >> 32
-    p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
-    carry = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    new_lo = lo * m_lo + a_lo
-    new_hi = x1 * y1 + (p01 >> 32) + (p10 >> 32) + (carry >> 32) + lo * (mult >> 64) + hi * m_lo + (add >> 64) + (new_lo < a_lo)
-    return new_lo, new_hi
 
 
 def _stirling(x: float) -> float:

@@ -3,19 +3,16 @@
 The three coins are always tossed independently. The quantum-ball
 constraint restricts which parameter triples describe a qubit; it does not
 correlate the toss outcomes themselves. Every sampler takes an explicit
-:class:`RngSpec` so results are bit-for-bit reproducible. There are three
+:class:`RngSpec` so results are bit-for-bit reproducible. There are two
 ways to draw its one PCG64 stream, and they give the same numbers:
 
-- the pure-Python copy ``spincoins._pcg64.Stream``, one double at a time, for
-  tosses and samples of up to ``_PURE_MAX_COUNT`` rows in a process that has
-  not imported numpy, which it spares numpy's import;
-- that copy's vectorised ``fill``, in numpy's uint64 arithmetic, for a
-  ``quantum_fraction`` count below two blocks in a process that has not
-  imported ``numpy.random``, which it spares that import;
+- the pure-Python copy ``spincoins._pcg64.Stream``, one double at a time, in a
+  process that has not imported numpy, which it spares numpy's import, for
+  tosses, samples of up to ``_PURE_MAX_COUNT`` rows and ``quantum_fraction``
+  counts below two blocks;
 - numpy's ``Generator`` otherwise.
 
-``_pure_stream`` makes this choice for all three callers. Each sampler then
-runs one loop of bounded blocks whichever stream draws them.
+``_pure_stream`` makes this choice for all three callers.
 
 Every sampler maps uniform doubles with IEEE-exact operations only, so each
 way gives the same rows: the sphere's by Marsaglia's method (Ann. Math. Stat.
@@ -90,16 +87,15 @@ class RngSpec:
         return np.random.Generator(np.random.PCG64(sequence))
 
 
-def _pure_stream(rng: RngSpec, spared: str, count: int) -> Stream | None:
-    """``rng``'s stream drawn without numpy's ``Generator`` for a call of ``count`` rows, or None when the Generator draws them.
+def _pure_stream(rng: RngSpec, count: int, most: int) -> Stream | None:
+    """``rng``'s stream drawn in pure Python for a call of ``count`` rows, or None when numpy's ``Generator`` draws them.
 
-    ``spared`` is the module the pure stream spares importing, and the stream draws only in a process that has not
-    imported it, up to that module's limit: ``"numpy"`` for a ``toss`` (one row) and for ``sample_states`` of up to
-    ``_PURE_MAX_COUNT`` rows; ``"numpy.random"`` for ``quantum_fraction``, which imports numpy for its buffers
-    anyway, below ``2 * _BLOCK_ROWS`` samples, where one thread counts them all and the fill's slower loop still
-    costs less than the import. It imports nothing to decide.
+    One rule for every caller: the pure stream draws in a process that has not imported numpy, which it spares
+    that import, and for at most ``most`` rows, the caller's limit: one for a ``toss``, which draws one row,
+    ``_PURE_MAX_COUNT`` for ``sample_states`` and ``2 * _BLOCK_ROWS - 1`` for ``quantum_fraction``. It imports
+    nothing to decide.
     """
-    if spared in sys.modules or count > (_PURE_MAX_COUNT if spared == "numpy" else 2 * _BLOCK_ROWS - 1):
+    if "numpy" in sys.modules or count > most:
         return None
     from ._pcg64 import Stream
 
@@ -169,7 +165,7 @@ def toss(p: ProbabilityTriple, n: int, rng: RngSpec) -> TossRecord:
     ``Generator`` would.
     """
     n = _as_int(n, "n", 1, MAX_TOSSES)
-    binomial = (_pure_stream(rng, "numpy", 1) or rng.generator()).binomial
+    binomial = (_pure_stream(rng, 1, 1) or rng.generator()).binomial
     # three scalar draws in coin order give the counts of one array draw, as Python ints
     return TossRecord(n_tosses=n, heads_counts=(binomial(n, p.p1), binomial(n, p.p2), binomial(n, p.p3)))
 
@@ -269,7 +265,7 @@ def sample_states(region: SampleRegion, count: int, rng: RngSpec) -> list[Probab
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        stream = _pure_stream(rng, "numpy", count)
+        stream = _pure_stream(rng, count, _PURE_MAX_COUNT)
         draw, random = (_draw, rng.generator().random) if stream is None else (_pure_draw, stream.random)
         states: list[ProbabilityTriple] = []
         while len(states) < count:
@@ -307,39 +303,35 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
     """Fraction of uniform cube samples that are quantum-admissible.
 
     Converges to the ball/cube volume ratio pi/6 ~ 0.5235988 as the sample count grows. Where
-    ``_pure_stream`` chooses the pure stream, one thread fills its rows through ``_pcg64.Stream.fill``:
-    the same rows, in numpy's uint64 arithmetic. Otherwise the rows come from numpy's ``Generator``. The rows
-    of one stream are split into contiguous chunks, one per usable CPU (at most ``_MAX_WORKERS``,
-    each of at least ``_BLOCK_ROWS`` rows), counted in parallel threads from generators advanced
-    to each chunk's first row, so every row is the one a sequential pass would draw and the result
-    is bit-identical for any CPU count. The caller allocates each thread's buffers before any starts, 32 bytes
-    a row, for blocks of ``_BLOCK_ROWS // max(2, workers)`` rows (a lone thread's 1.1 MB fit a core's 2 MB
-    L2); with each block's 1-byte ball-test mask, all of them hold at most ``_BLOCK_ROWS`` rows, 2.2 MB.
-    The pure stream's lone thread counts blocks of ``_pcg64._CHUNK`` = 2^12 rows instead, 0.13 MB: three
-    whole fill chunks, so each fill resumes the lanes the one before it left. At 10^5 samples
-    ``spincoins quantum-fraction`` then peaks at a child max RSS of 29.7 MB, against 30.6 MB with 2^15-row
-    blocks (medians of 11 runs, 2 vCPUs, Python 3.11.7, numpy 2.4.6).
+    ``_pure_stream`` chooses the pure stream (below ``2 * _BLOCK_ROWS`` samples, in a process without
+    numpy), each row is drawn and tested by ``_in_ball(_dot(d, d))`` in turn: the doubles, the sum order
+    and the ball test of ``_count_hits``, so the fraction is the same bit for bit, with no import and no
+    thread. Otherwise the rows come from numpy's ``Generator``. The rows of one stream are split into
+    contiguous chunks, one per usable CPU (at most ``_MAX_WORKERS``, each of at least ``_BLOCK_ROWS``
+    rows), counted in parallel threads from generators advanced to each chunk's first row, so every row
+    is the one a sequential pass would draw and the result is bit-identical for any CPU count. The
+    caller allocates each thread's buffers before any starts, 32 bytes a row, for blocks of
+    ``_BLOCK_ROWS // max(2, workers)`` rows (a lone thread's 1.1 MB fit a core's 2 MB L2); with each
+    block's 1-byte ball-test mask, all of them hold at most ``_BLOCK_ROWS`` rows, 2.2 MB.
     """
+    n_samples = _as_int(n_samples, "n_samples", 1000)
+    stream = _pure_stream(rng, n_samples, 2 * _BLOCK_ROWS - 1)
+    if stream is not None:
+        random = stream.random
+        rows = ((random() - BALL_CENTER, random() - BALL_CENTER, random() - BALL_CENTER) for _ in range(n_samples))
+        return sum(_in_ball(_dot(d, d)) for d in rows) / n_samples
     import threading
 
     import numpy as np
 
-    n_samples = _as_int(n_samples, "n_samples", 1000)
     workers = max(1, min(_usable_cpus(), n_samples // _BLOCK_ROWS, _MAX_WORKERS))
     bounds = [n_samples * k // workers for k in range(workers + 1)]
-    stream = _pure_stream(rng, "numpy.random", n_samples)
-    if stream is not None:  # a lone worker, which fills its rows itself, three whole fill chunks a block
-        from ._pcg64 import _CHUNK
-
-        block, draws = min(_CHUNK, n_samples), [stream.fill]
-    else:
-        block = min(_BLOCK_ROWS // max(2, workers), n_samples)  # a lone worker's chunk may be shorter than its block
-        # Built and advanced in the calling thread, so the threads call only private helpers. Row r starts
-        # at 64-bit output 3r, one per double; RngSpec builds only PCG64, which has advance.
-        gens = [rng.generator() for _ in range(workers)]
-        for gen, first in zip(gens, bounds):
-            gen.bit_generator.advance(3 * first)
-        draws = [gen.random for gen in gens]
+    block = min(_BLOCK_ROWS // max(2, workers), n_samples)  # a lone worker's chunk may be shorter than its block
+    # Built and advanced in the calling thread, so the threads call only private helpers. Row r starts
+    # at 64-bit output 3r, one per double; RngSpec builds only PCG64, which has advance.
+    gens = [rng.generator() for _ in range(workers)]
+    for gen, first in zip(gens, bounds):
+        gen.bit_generator.advance(3 * first)
     # Allocated here, so that no worker thread's malloc arena keeps a block of them after the call.
     buffers = [(np.empty((block, 3)), np.empty(block)) for _ in range(workers)]
     hits = [0] * workers
@@ -350,7 +342,7 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
             for start in range(bounds[k], bounds[k + 1], block):
                 if errors:  # another chunk failed, or the caller was interrupted; the count is lost anyway
                     return
-                hits[k] += _count_hits(draws[k], *(buffer[: bounds[k + 1] - start] for buffer in buffers[k]))
+                hits[k] += _count_hits(gens[k].random, *(buffer[: bounds[k + 1] - start] for buffer in buffers[k]))
         except BaseException as exc:  # re-raised in the caller; a thread would drop it
             errors.append(exc)
 

@@ -7,6 +7,7 @@ import gc
 import itertools
 import math
 import os
+import random
 import re
 import statistics
 import struct
@@ -14,6 +15,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 from collections import Counter
 
 import numpy as np
@@ -22,10 +24,11 @@ import pytest
 import spincoins as sc
 import spincoins._pcg64
 from spincoins import coinsim
-from spincoins._pcg64 import _CHUNK
 from oracles import binomial_pmf, chi_square_survival, reference_states
 
 PI_SIXTH = math.pi / 6.0
+# Seeds either side of where SeedSequence splits a seed into 32-bit words, and five random ones.
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, *map(random.Random(19).getrandbits, [64] * 5)]
 
 
 class TestRngSpec:
@@ -99,14 +102,13 @@ class Chosen(Exception):
 
 
 # Each call at each threshold, and the stream it draws from in each import state: the pure stream, or
-# numpy's Generator. A toss draws one row whatever its count. quantum_fraction imports numpy for its
-# buffers, so it never runs without it.
+# numpy's Generator. A toss draws one row whatever its count.
 CHOICES = [
     ("toss", 10**6, {"bare": "pure", "numpy": "numpy", "numpy.random": "numpy"}),
     ("sample_states", 5000, {"bare": "pure", "numpy": "numpy", "numpy.random": "numpy"}),
     ("sample_states", 5001, {"bare": "numpy", "numpy": "numpy", "numpy.random": "numpy"}),
-    ("quantum_fraction", 2**17 - 1, {"numpy": "pure", "numpy.random": "numpy"}),
-    ("quantum_fraction", 2**17, {"numpy": "numpy", "numpy.random": "numpy"}),
+    ("quantum_fraction", 2**17 - 1, {"bare": "pure", "numpy": "numpy", "numpy.random": "numpy"}),
+    ("quantum_fraction", 2**17, {"bare": "numpy", "numpy": "numpy", "numpy.random": "numpy"}),
 ]
 
 
@@ -531,26 +533,68 @@ class TestQuantumFraction:
         # the stream over threads changes no row and no count. A short switch
         # interval makes the threads interleave often, so a lost update shows.
         # b is a lone Generator worker's block: b - 1 and b rows fill one block, b + 1 and 2b + 1 end on a one-row block.
-        # Below 4b = 2^17 rows one worker counts them all, and a process without numpy.random fills them through
-        # the pure stream, in blocks of c = _CHUNK rows, with the same edges; from 4b rows both processes draw
-        # through numpy's generators. So the fill path runs only below 4b, at one CPU and at the most, and 4b - 1
-        # and 4b are the last count it takes and the first it leaves.
-        b, c = coinsim._BLOCK_ROWS // 2, _CHUNK
-        sizes = (1000, c - 1, c, c + 1, 2 * c + 1, b - 1, b, b + 1, 2 * b + 1, 123457, 4 * b - 1, 4 * b, 3 * 2**16 + 1, 10**7)
-        fill_sizes = sizes[: sizes.index(4 * b)]
+        # Below 4b = 2^17 rows one worker counts them all, and a process without numpy counts them on the pure
+        # stream, one row at a time, in one thread whatever the CPU count; from 4b rows both processes draw
+        # through numpy's generators. So 4b - 1 and 4b are the last count the pure stream takes and the first it leaves.
+        b = coinsim._BLOCK_ROWS // 2
+        sizes = (1000, b - 1, b, b + 1, 2 * b + 1, 123457, 4 * b - 1, 4 * b, 3 * 2**16 + 1, 10**7)
+        pure_sizes = sizes[: sizes.index(4 * b)]
         fractions = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for numpy_random, cpu_counts, counts in ((True, (1, 2, 3, 5, 8), sizes), (False, (1, 8), fill_sizes)):
-                if not numpy_random:
-                    monkeypatch.delitem(sys.modules, "numpy.random")
+            for numpy_loaded, cpu_counts, counts in ((True, (1, 2, 3, 5, 8), sizes), (False, (1,), pure_sizes)):
+                if not numpy_loaded:
+                    for name in MISSING["bare"]:
+                        monkeypatch.delitem(sys.modules, name)
                 for cpus in cpu_counts:
                     monkeypatch.setattr(coinsim, "_usable_cpus", lambda cpus=cpus: cpus)
-                    fractions[numpy_random, cpus] = [sc.quantum_fraction(n, sc.RngSpec(seed=1)) for n in counts]
+                    fractions[numpy_loaded, cpus] = [sc.quantum_fraction(n, sc.RngSpec(seed=1)) for n in counts]
         finally:
             sys.setswitchinterval(interval)
         assert all(values == fractions[True, 1][: len(values)] for values in fractions.values())
+
+    def test_the_pure_count_sums_and_tests_each_row_as_the_array_count_does(self, monkeypatch):
+        # Crafted rows whose squared radius lies within an ulp of the ball test's 1/4 + 1e-9. The first and
+        # third are misses in _dot's order, (d0^2 + d1^2) + d2^2, and hits when d2^2 is added first: to d0^2
+        # for the first, to either for the third. The second is a hit at exactly 1/4 + 1e-9 in every order,
+        # and a miss against a strict 1/4. The centre and the corner of the cube are a plain hit and a plain
+        # miss. So a count in another order counts more hits, and one with a strict 1/4 fewer.
+        rows = [
+            tuple(map(float.fromhex, ("0x1.3eecf89059360p-1", "0x1.7bcb8116f23eep-1", "0x1.d70f9490d17f9p-1"))),
+            tuple(map(float.fromhex, ("0x1.db208fa389760p-5", "0x1.03ce9dcdbd9d7p-1", "0x1.779d72f664860p-1"))),
+            tuple(map(float.fromhex, ("0x1.e2ffa6cff07a8p-1", "0x1.4c46648351904p-1", "0x1.5a7f49d3b816ep-1"))),
+            (0.5, 0.5, 0.5),
+            (0.0, 0.0, 0.0),
+        ]
+        n = 1000  # the fewest samples quantum_fraction takes, 200 of each row
+        doubles = [x for _ in range(n // len(rows)) for row in rows for x in row]
+
+        def fill(out):
+            out[...] = np.reshape(doubles, out.shape)
+
+        array_hits = coinsim._count_hits(fill, np.empty((n, 3)), np.empty(n))
+        monkeypatch.setattr(coinsim, "_pure_stream", lambda *args: types.SimpleNamespace(random=iter(doubles).__next__))
+        assert array_hits == 2 * n // len(rows)
+        assert sc.quantum_fraction(n, sc.RngSpec(seed=0)) == array_hits / n
+
+    # Edge and random seeds on each stream. Consecutive counts each add one row, so a pure count that drew a
+    # row too many or too few differs from the Generator's at one of them; a Generator block and one row more
+    # ends numpy's count on a one-row block.
+    @pytest.mark.parametrize("n", [1000, 1001, 1002, 1003, 1004, coinsim._BLOCK_ROWS // 2 + 1])
+    @pytest.mark.parametrize("stream", [0, 1, 2**70 + 3])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_without_numpy_the_pure_stream_counts_the_same_hits(self, seed, stream, n, monkeypatch):
+        spec = sc.RngSpec(seed, stream)
+        expected = sc.quantum_fraction(n, spec)
+
+        def numpy_path(_spec):
+            raise RuntimeError("numpy path")
+
+        for name in MISSING["bare"]:
+            monkeypatch.delitem(sys.modules, name)
+        monkeypatch.setattr(coinsim.RngSpec, "generator", numpy_path)
+        assert sc.quantum_fraction(n, spec) == expected
 
     @staticmethod
     def _block_failing_off_the_main_thread(monkeypatch):
@@ -607,25 +651,25 @@ class TestQuantumFraction:
         assert len(after_interrupt) <= 2
 
     @pytest.mark.parametrize(
-        "cpus, n, numpy_random", [*itertools.product([1, 2, 8], [10**5, 10**6], [True]), (1, 10**5, False)]
+        "cpus, n, numpy_loaded", [*itertools.product([1, 2, 8], [10**5, 10**6], [True]), (1, 2**17 - 1, False)]
     )
-    def test_working_memory_stays_within_the_buffer_bound(self, cpus, n, numpy_random, monkeypatch):
+    def test_working_memory_stays_within_the_buffer_bound(self, cpus, n, numpy_loaded, monkeypatch):
         # All workers' buffers together hold at most _BLOCK_ROWS rows of 33 bytes: three doubles,
         # one double of running total and the one-byte mask of a block's ball test. 64 KiB covers the Python objects around them.
-        # Without numpy.random, 10^5 rows are filled through the pure stream in blocks of _CHUNK rows, and the fill
-        # adds at most 18 uint64 arrays of a chunk: its lanes, kept between fills, and the temporaries of one step.
+        # Without numpy, the most samples counted on the pure stream hold one row at a time, and 8 KiB covers
+        # the stream and the few objects of the row being counted, for any count.
         monkeypatch.setattr(coinsim, "_usable_cpus", lambda: cpus)
-        if not numpy_random:
-            monkeypatch.delitem(sys.modules, "numpy.random")
-        sc.quantum_fraction(n, sc.RngSpec(seed=0))  # imports numpy and warms its caches first
+        if not numpy_loaded:
+            for name in MISSING["bare"]:
+                monkeypatch.delitem(sys.modules, name)
+        sc.quantum_fraction(n, sc.RngSpec(seed=0))  # imports what the call needs and warms its caches first
         tracemalloc.start()
         try:
             sc.quantum_fraction(n, sc.RngSpec(seed=0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        buffers = coinsim._BLOCK_ROWS * 33 if numpy_random else _CHUNK * 33 + 18 * _CHUNK * 8
-        assert peak <= buffers + 64 * 1024
+        assert peak <= (coinsim._BLOCK_ROWS * 33 + 64 * 1024 if numpy_loaded else 8 * 1024)
 
     def test_without_an_affinity_mask_the_cpu_count_sets_the_workers(self, monkeypatch):
         # Platforms without os.sched_getaffinity (macOS, Windows) fall back on os.cpu_count,

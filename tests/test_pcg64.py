@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincoins import coinsim
-from spincoins._pcg64 import _CHUNK, _MULTIPLIER, Stream
+from spincoins._pcg64 import _MULTIPLIER, Stream
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-RANDOM_SEEDS = [random.Random(19).getrandbits(64) for _ in range(5)]
+RANDOM_SEEDS = list(map(random.Random(19).getrandbits, [64] * 5))  # one generator, five distinct seeds
 STREAMS = [0, 1, 2**70 + 3]
 # numpy's branch points and float edges: n p <= 30 takes inversion, above it BTPE, p > 1/2 the mirror.
 EDGE_PROBABILITIES = [0.0, 1.0, 0.5, 1e-300, 1e-18, 1.0 - 2**-53, 5e-324, 2**-53]
@@ -164,54 +164,8 @@ def test_rare_branches_match_generator_binomial(case):
     assert pure.random() == reference.random()
 
 
-# One double, either side of a chunk, one past two chunks, a lone Generator worker's whole block of quantum_fraction
-# rows, and the pure fill path's block of _CHUNK rows: either side of it and one row past two of them.
-FILL_SHAPES = [
-    (1,), (_CHUNK - 1,), (_CHUNK,), (_CHUNK + 1,), (2 * _CHUNK + 1,), (coinsim._BLOCK_ROWS // 2, 3),
-    (_CHUNK - 1, 3), (_CHUNK, 3), (_CHUNK + 1, 3), (2 * _CHUNK + 1, 3),
-]
-
-
-@pytest.mark.parametrize("shape", FILL_SHAPES, ids=[str(shape) for shape in FILL_SHAPES])
-@pytest.mark.parametrize("stream", STREAMS)
-@pytest.mark.parametrize("seed", EDGE_SEEDS)
-def test_fill_matches_generator_random_and_leaves_its_state(seed, stream, shape):
-    pure, reference = Stream(seed, stream), coinsim.RngSpec(seed, stream).generator()
-    out = np.empty(shape)
-    pure.fill(out)
-    assert np.array_equal(out, reference.random(shape))
-    # the state the fill leaves: the next doubles, and binomials by inversion and by BTPE, follow numpy's
-    assert [pure.random() for _ in range(5)] == reference.random(5).tolist()
-    assert [pure.binomial(n, 0.3) for n in (20, 10**6)] == [reference.binomial(n, 0.3) for n in (20, 10**6)]
-    # and so does a second fill, from a state no fill started at
-    pure.fill(out)
-    assert np.array_equal(out, reference.random(shape))
-    # and a third straight after it, which resumes the second's lanes where that ended on a whole chunk
-    assert (pure._lanes is not None) == (out.size % _CHUNK == 0)
-    pure.fill(out)
-    assert np.array_equal(out, reference.random(shape))
-    assert pure.random() == reference.random()
-
-
-# quantum_fraction's last block fills only a prefix of its worker's buffer: one row, the rows
-# just short of and just past one chunk of doubles, all but the last row of a lone worker's block,
-# and the pure fill path's block of _CHUNK rows: either side of it and one row past two of them.
-PREFIX_ROWS = [1, _CHUNK // 3, _CHUNK // 3 + 1, coinsim._BLOCK_ROWS // 2 - 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
-
-
-@pytest.mark.parametrize("rows", PREFIX_ROWS)
-def test_fill_of_a_buffer_prefix_writes_only_its_rows(rows):
-    buffer = np.full((coinsim._BLOCK_ROWS // 2, 3), -1.0)
-    for seed in EDGE_SEEDS:
-        pure, reference = Stream(seed, 0), coinsim.RngSpec(seed).generator()
-        pure.fill(buffer[:rows])
-        assert np.array_equal(buffer[:rows], reference.random((rows, 3)))
-        assert (buffer[rows:] == -1.0).all()
-        assert pure.random() == reference.random()
-
-
-# Parity over the whole domain the library draws in: any seed, stream ids past 64 bits, fills of
-# up to two blocks of doubles, n up to 2^53, and p at and near the float edges and numpy's branch points.
+# Parity over the whole domain the library draws in: any seed, stream ids past 64 bits, n up to 2^53,
+# and p at and near the float edges and numpy's branch points.
 seeds, streams = st.integers(0, 2**64 - 1), st.integers(0, 2**80 - 1)
 P_EDGES = [0.0, 2.0**-1074, 0.5, 1.0 - 2**-53, 1.0]
 
@@ -237,24 +191,6 @@ binomial_cases = st.builds(
     st.one_of(st.tuples(st.one_of(st.integers(0, 100), st.integers(0, 2**53)), probabilities), near_the_split),
     st.booleans(),
 )
-
-
-# Any length, or a whole number of chunks, after which the next fill resumes the lanes unless a double is drawn first.
-fill_lengths = st.one_of(st.integers(1, 2**17), st.integers(1, 2**17 // _CHUNK).map(lambda chunks: chunks * _CHUNK))
-
-
-@settings(max_examples=150, deadline=None)
-@given(seeds, streams, st.lists(st.tuples(st.booleans(), fill_lengths), min_size=1, max_size=4))
-def test_fill_matches_generator_random_at_any_length(seed, stream, steps):
-    pure, reference = Stream(seed, stream), coinsim.RngSpec(seed, stream).generator()
-    for draw_first, length in steps:
-        if draw_first:
-            assert pure.random() == reference.random(), (seed, stream, steps)
-        out, expected = np.empty(length), np.empty(length)
-        pure.fill(out)
-        reference.random(out=expected)
-        assert np.array_equal(out, expected), (seed, stream, steps)
-    assert pure.random() == reference.random(), (seed, stream, steps)
 
 
 @settings(max_examples=400, deadline=None)

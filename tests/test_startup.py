@@ -1,17 +1,15 @@
 """Each CLI call loads only the library modules its subcommand computes with.
 
-The scalar entry points, tosses and samples of up to 5000 rows in any
-region run without importing numpy, and the tosses and samples without
-importing ``threading``; quantum-fraction and larger samples load numpy
-and still work, and quantum-fraction below 2^17 samples loads no
-``numpy.random``. Each call's stdout in a fresh process equals the same
-call made in this one, where ``numpy.random`` is imported, so the
-pure-Python stream and its vectorised fill draw what numpy draws.
+The scalar entry points, tosses, samples of up to 5000 rows in any region
+and quantum-fraction below 2^17 samples run without importing numpy or
+``threading``; larger samples and quantum-fraction counts load
+``numpy.random`` and still work. Each call's stdout in a fresh process
+equals the same call made in this one, where ``numpy.random`` is
+imported, so the pure-Python stream draws what numpy draws.
 """
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import math
@@ -53,7 +51,7 @@ CORE: tuple[str, ...] = ()
 SUPREMATISM = ("suprematism",)
 OBSERVABLES = ("observables",)
 TOSS = ("coinsim", "observables", "_pcg64")
-PURE_SAMPLE = ("coinsim", "_pcg64")
+PURE_STREAM = ("coinsim", "_pcg64")
 
 SCALAR_CALLS = {
     "validate": (["validate", STATE], 0, CORE),
@@ -74,26 +72,25 @@ SCALAR_CALLS = {
     "simulate-beyond-max-tosses": (["simulate", "--state", STATE, "--obs", OBS, "--n-tosses", str(MAX_TOSSES + 1)], 1, ("coinsim", "observables")),
     "simulate-skewed-inversion": (["simulate", "--state", SKEWED, "--obs", OBS, "--n-tosses", "20", "--seed", "5"], 0, TOSS),
     "simulate-skewed-btpe": (["simulate", "--state", SKEWED, "--obs", OBS, "--n-tosses", str(10**6), "--seed", str(2**64 - 1)], 0, TOSS),
-    "sample-ball": (["sample", "--region", "ball", "--count", "3", "--seed", "3"], 0, PURE_SAMPLE),
-    "sample-ball-1000": (["sample", "--region", "ball", "--count", "1000", "--seed", "8"], 0, PURE_SAMPLE),
-    "sample-cube": (["sample", "--region", "cube", "--count", "20", "--seed", str(2**64 - 1)], 0, PURE_SAMPLE),
-    "sample-cube-seed-2-32": (["sample", "--region", "cube", "--count", "20", "--seed", str(2**32)], 0, PURE_SAMPLE),
-    "sample-ball-most-pure-rows": (["sample", "--region", "ball", "--count", "5000", "--seed", "7"], 0, PURE_SAMPLE),
-    "sample-sphere": (["sample", "--region", "sphere", "--count", "3", "--seed", "3"], 0, PURE_SAMPLE),
-    "sample-sphere-most-pure-rows": (["sample", "--region", "sphere", "--count", "5000", "--seed", str(2**64 - 1)], 0, PURE_SAMPLE),
+    "sample-ball": (["sample", "--region", "ball", "--count", "3", "--seed", "3"], 0, PURE_STREAM),
+    "sample-ball-1000": (["sample", "--region", "ball", "--count", "1000", "--seed", "8"], 0, PURE_STREAM),
+    "sample-cube": (["sample", "--region", "cube", "--count", "20", "--seed", str(2**64 - 1)], 0, PURE_STREAM),
+    "sample-cube-seed-2-32": (["sample", "--region", "cube", "--count", "20", "--seed", str(2**32)], 0, PURE_STREAM),
+    "sample-ball-most-pure-rows": (["sample", "--region", "ball", "--count", "5000", "--seed", "7"], 0, PURE_STREAM),
+    "sample-sphere": (["sample", "--region", "sphere", "--count", "3", "--seed", "3"], 0, PURE_STREAM),
+    "sample-sphere-most-pure-rows": (["sample", "--region", "sphere", "--count", "5000", "--seed", str(2**64 - 1)], 0, PURE_STREAM),
+    "quantum-fraction": (["quantum-fraction", "--n-samples", "100000", "--seed", "3"], 0, PURE_STREAM),
+    "quantum-fraction-fewest": (["quantum-fraction", "--n-samples", "1000", "--seed", "3"], 0, PURE_STREAM),
+    # the most samples counted without numpy
+    "quantum-fraction-most-pure": (["quantum-fraction", "--n-samples", str(2**17 - 1), "--seed", "3"], 0, PURE_STREAM),
 }
 
-# name -> (argv, the modules it loads beyond the package, the CLI and core, whether it imports numpy.random)
+# name -> (argv, the modules it loads beyond the package, the CLI and core)
 ARRAY_CALLS = {
-    "sample-beyond-pure-count": (["sample", "--region", "cube", "--count", "5001", "--seed", "3"], ("coinsim",), True),
-    "sample-ball-beyond-pure-count": (["sample", "--region", "ball", "--count", "5001", "--seed", "3"], ("coinsim",), True),
-    "sample-sphere-beyond-pure-count": (["sample", "--region", "sphere", "--count", "5001", "--seed", "3"], ("coinsim",), True),
-    # below two blocks, quantum-fraction fills its rows through the pure stream's uint64 arithmetic
-    "quantum-fraction": (["quantum-fraction", "--n-samples", "100000", "--seed", "3"], ("coinsim", "_pcg64"), False),
-    "quantum-fraction-fewest": (["quantum-fraction", "--n-samples", "1000", "--seed", "3"], ("coinsim", "_pcg64"), False),
-    # the most samples the fill path takes, which end on a partial block
-    "quantum-fraction-most-filled": (["quantum-fraction", "--n-samples", str(2**17 - 1), "--seed", "3"], ("coinsim", "_pcg64"), False),
-    "quantum-fraction-two-blocks": (["quantum-fraction", "--n-samples", str(2**17), "--seed", "3"], ("coinsim",), True),
+    "sample-beyond-pure-count": (["sample", "--region", "cube", "--count", "5001", "--seed", "3"], ("coinsim",)),
+    "sample-ball-beyond-pure-count": (["sample", "--region", "ball", "--count", "5001", "--seed", "3"], ("coinsim",)),
+    "sample-sphere-beyond-pure-count": (["sample", "--region", "sphere", "--count", "5001", "--seed", "3"], ("coinsim",)),
+    "quantum-fraction-two-blocks": (["quantum-fraction", "--n-samples", str(2**17), "--seed", "3"], ("coinsim",)),
 }
 
 
@@ -102,13 +99,6 @@ def probe(argv: list[str] | None) -> dict:
         [sys.executable, "-c", PROBE, json.dumps(argv)], capture_output=True, text=True, check=True, timeout=120
     )
     return json.loads(result.stdout.splitlines()[-1])
-
-
-@functools.cache
-def bare_numpy_imports_random() -> bool:
-    """Whether ``import numpy`` alone loads ``numpy.random``, as numpy 1 does; quantum-fraction then draws through it."""
-    check = "import sys, numpy; print('numpy.random' in sys.modules)"
-    return subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, check=True).stdout.strip() == "True"
 
 
 def in_process(argv: list[str]) -> tuple[int, str]:
@@ -135,21 +125,18 @@ def test_scalar_entry_points_never_import_numpy(name, tmp_path):
     assert report["code"] == code
     assert report["modules"] == loaded(*extra)
     assert report["numpy"] is False
-    if name.startswith(("simulate", "sample")):  # only quantum_fraction starts threads
-        assert "threading" not in report["imported"]
+    assert "threading" not in report["imported"]
     assert (report["code"], report["stdout"]) == in_process(argv)
 
 
 @pytest.mark.parametrize("name", sorted(ARRAY_CALLS))
 def test_array_subcommands_import_numpy_and_still_work(name):
-    argv, extra, numpy_random = ARRAY_CALLS[name]
-    if bare_numpy_imports_random():
-        extra, numpy_random = ("coinsim",), True
+    argv, extra = ARRAY_CALLS[name]
     report = probe(argv)
     assert report["code"] == 0
     assert report["modules"] == loaded(*extra)
     assert report["numpy"] is True
-    assert report["numpy.random"] is numpy_random
+    assert report["numpy.random"] is True
     assert report["stdout"]
     assert (report["code"], report["stdout"]) == in_process(argv)
 
