@@ -6,11 +6,11 @@ stderr is closed or cannot be written; the exit code still holds. Exit codes: 0 
 domain errors (invalid probability, non-Hermitian matrix, non-quantum state, a result too large for
 a finite JSON number, running out of memory), 2 on usage errors (unknown subcommand, bad flags,
 malformed JSON such as NaN or Infinity, a payload file that is not UTF-8, an ``--out`` file or a
-stdout that cannot be written). Output is byte deterministic for identical argv and seed;
-``SPINCOINS_SEED`` overrides the default seed.
+stdout that cannot be written). Output is byte deterministic for identical argv and the files it
+names; the seed is ``--seed``, 0 by default.
 
 Each subcommand is one row of ``_SUBCOMMANDS``, which holds the range of each integer flag; a
-decimal integer of any length outside it exits 1 and names the flag, or ``SPINCOINS_SEED``.
+decimal integer of any length outside it exits 1 and names the flag.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ import spincoins
 
 from . import core
 
-SEED_ENV_VAR = "SPINCOINS_SEED"
-DEFAULT_SEED = 0
 MAX_SAMPLE_COUNT = 10**5
 MAX_MOMENT_ORDER = 10**5
 # quantum-fraction counts in at most 2.2 MB of buffers for any count; this
@@ -104,7 +102,7 @@ def _simulate(state: spincoins.ProbabilityTriple, obs: spincoins.GameObservable,
 
 _STATE, _OBS = "ProbabilityTriple", "GameObservable"
 _STATE_HELP, _OBS_HELP = "state JSON or file path", "payoffs JSON or file path"
-_SEED = ("--seed", range(core.MAX_SEED + 1), f"RNG seed (default: ${SEED_ENV_VAR} if set, else {DEFAULT_SEED})", None)
+_SEED = ("--seed", range(core.MAX_SEED + 1), "RNG seed (default 0)", "0")
 
 # The one description of each subcommand: name -> (help, arguments, compute). An argument is
 # (name, kind, help[, default]); a flag without a default is required. Its kind is the public
@@ -207,10 +205,6 @@ def _checked(args: argparse.Namespace, name: str, kind: Any) -> Any:
         return getattr(spincoins, kind).from_dict(_json_argument(value, dest))
     if not isinstance(kind, range):
         return value  # a float, str or choice, which parse_args has checked
-    if value is None:  # only --seed has no default: $SPINCOINS_SEED stands in for it, and DEFAULT_SEED for both
-        name, value = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
-        if _DECIMAL.fullmatch(value) is None:  # parse_args has checked the flags' spelling, through _decimal
-            raise UsageError(f"{SEED_ENV_VAR}={core._show(value)} is not an integer seed")
     value = _bounded_int(value, name, kind)
     return spincoins.RngSpec(value) if dest == "seed" else value
 

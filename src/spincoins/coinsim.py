@@ -9,7 +9,7 @@ ways to draw its one PCG64 stream, and they give the same numbers:
 - the pure-Python copy ``spincoins._pcg64.Stream``, one double at a time, in a
   process that has not imported numpy, which it spares numpy's import, for
   tosses, samples of up to ``_PURE_MAX_COUNT`` rows and ``quantum_fraction``
-  counts below two blocks;
+  counts of up to ``_PURE_MAX_SAMPLES``;
 - numpy's ``Generator`` otherwise.
 
 ``_pure_stream`` makes this choice for all three callers.
@@ -55,6 +55,10 @@ _SAMPLE_DRAWS = 2**12
 # Most rows sample_states draws without numpy. Measured on a shared 2-CPU host: 5000 ball rows
 # took 30-50 ms in pure Python, against 80-110 ms for importing numpy and drawing them there.
 _PURE_MAX_COUNT = 5000
+# Most samples quantum_fraction counts without numpy: at 10^5, 16.3 against numpy's 29.7 MB of RSS but 288 against 221 ms
+# (CLI child medians; shared 2-vCPU host, Python 3.11.7, numpy 2.4.6). Kept, as cli_mix's 10^5-sample call is its one child
+# above the harness's own RSS: numpy there would read about +24% on its peak_rss_mb.
+_PURE_MAX_SAMPLES = 2**17 - 1
 # Most threads quantum_fraction splits its stream over; keeps blocks of at least 2^13 rows, with little Python per row.
 _MAX_WORKERS = 8
 _ACCEPTANCE = {"cube": 1.0, "ball": math.pi / 6, "sphere": math.pi / 4}  # share of draws kept; sizes each block
@@ -92,7 +96,7 @@ def _pure_stream(rng: RngSpec, count: int, most: int) -> Stream | None:
 
     One rule for every caller: the pure stream draws in a process that has not imported numpy, which it spares
     that import, and for at most ``most`` rows, the caller's limit: one for a ``toss``, which draws one row,
-    ``_PURE_MAX_COUNT`` for ``sample_states`` and ``2 * _BLOCK_ROWS - 1`` for ``quantum_fraction``. It imports
+    ``_PURE_MAX_COUNT`` for ``sample_states`` and ``_PURE_MAX_SAMPLES`` for ``quantum_fraction``. It imports
     nothing to decide.
     """
     if "numpy" in sys.modules or count > most:
@@ -303,7 +307,7 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
     """Fraction of uniform cube samples that are quantum-admissible.
 
     Converges to the ball/cube volume ratio pi/6 ~ 0.5235988 as the sample count grows. Where
-    ``_pure_stream`` chooses the pure stream (below ``2 * _BLOCK_ROWS`` samples, in a process without
+    ``_pure_stream`` chooses the pure stream (up to ``_PURE_MAX_SAMPLES`` samples, in a process without
     numpy), each row is drawn and tested by ``_in_ball(_dot(d, d))`` in turn: the doubles, the sum order
     and the ball test of ``_count_hits``, so the fraction is the same bit for bit, with no import and no
     thread. Otherwise the rows come from numpy's ``Generator``. The rows of one stream are split into
@@ -315,7 +319,7 @@ def quantum_fraction(n_samples: int, rng: RngSpec) -> float:
     block's 1-byte ball-test mask, all of them hold at most ``_BLOCK_ROWS`` rows, 2.2 MB.
     """
     n_samples = _as_int(n_samples, "n_samples", 1000)
-    stream = _pure_stream(rng, n_samples, 2 * _BLOCK_ROWS - 1)
+    stream = _pure_stream(rng, n_samples, _PURE_MAX_SAMPLES)
     if stream is not None:
         random = stream.random
         rows = ((random() - BALL_CENTER, random() - BALL_CENTER, random() - BALL_CENTER) for _ in range(n_samples))

@@ -19,7 +19,7 @@ from jsonschema import Draft202012Validator
 
 from golden_cases import JSON_CASES, SVG_CASES, STATE_MIXED, STATE_TILTED, OBS_SIGMA_X, OBS_SIGMA_Z
 from spincoins import cli, coinsim, core
-from spincoins.cli import _SUBCOMMANDS, DEFAULT_SEED, SEED_ENV_VAR, run
+from spincoins.cli import _SUBCOMMANDS, run
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "cli_payloads.schema.json"
@@ -188,18 +188,6 @@ class TestExitCodes:
         code, payload, message = self.LONG_ECHOES[case]
         assert run_cli(["validate", payload]) == (code, "")
         assert capsys.readouterr().err == message + "\n"
-
-    @pytest.mark.parametrize("command", ["simulate", "sample", "quantum-fraction"])
-    def test_env_seed_past_the_digit_limit(self, command, monkeypatch, capsys):
-        argv = BASE_ARGV[command]
-        at = argv.index("--seed")
-        monkeypatch.setenv(SEED_ENV_VAR, LONG_DIGITS)
-        assert run_cli(argv[:at] + argv[at + 2:]) == (1, "")
-        assert capsys.readouterr().err == f"error: {SEED_ENV_VAR} must be at most {2**64 - 1}, got an integer of 5000 digits\n"
-        monkeypatch.setenv(SEED_ENV_VAR, LONG_DIGITS + "x")
-        assert run_cli(argv[:at] + argv[at + 2:]) == (2, "")
-        err = capsys.readouterr().err
-        assert err == f"usage error: {SEED_ENV_VAR}='{LONG_DIGITS[:20]}'... (5001 characters) is not an integer seed\n"
 
     def test_domain_error_invalid_probability(self, capsys):
         code, _ = run_cli(["validate", '{"p1": 2, "p2": 0.5, "p3": 0.5}'])
@@ -601,17 +589,6 @@ class TestSubcommandTable:
         refused = {(c, v) for c, flag, v, _id in REFUSED_INTEGERS if flag == "--seed"}
         assert refused == {(c, v) for c in SEEDED for v in (-1, 2**64)}
 
-    @pytest.mark.parametrize("value", [-1, 2**64])
-    @pytest.mark.parametrize("command", SEEDED)
-    def test_refused_env_seed_is_named(self, command, value, monkeypatch, capsys):
-        argv = BASE_ARGV[command]
-        at = argv.index("--seed")
-        monkeypatch.setenv(SEED_ENV_VAR, str(value))
-        code, out = run_cli(argv[:at] + argv[at + 2:])
-        assert code == 1
-        assert out == ""
-        assert capsys.readouterr().err.startswith(f"error: {SEED_ENV_VAR} must be at")
-
     def test_forty_digits_hold_every_bound(self):
         # _bounded_int refuses a value of more than 40 digits unconverted, so no bound may be longer
         bounds = [kind[end] for _help, arguments, _compute in _SUBCOMMANDS.values()
@@ -630,28 +607,33 @@ class TestSubcommandTable:
 
 
 class TestSeedHandling:
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "123")
-        _, with_env = run_cli(["sample", "--region", "cube", "--count", "2"])
-        monkeypatch.delenv(SEED_ENV_VAR)
-        _, with_flag = run_cli(["sample", "--region", "cube", "--count", "2", "--seed", "123"])
-        assert with_env == with_flag
-
     def test_flag_wins_over_env_var(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "123")
+        monkeypatch.setenv("SPINCOINS_SEED", "123")
         _, out = run_cli(["sample", "--region", "cube", "--count", "2", "--seed", "9"])
         assert json.loads(out)["seed"] == 9
 
-    def test_default_seed_documented_value(self, monkeypatch):
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        _, out = run_cli(["sample", "--region", "cube", "--count", "1"])
-        assert json.loads(out)["seed"] == DEFAULT_SEED
+    def test_default_seed_documented_value(self):
+        argv = ["sample", "--region", "cube", "--count", "1"]
+        code, out = run_cli(argv)
+        assert (code, out) == run_cli([*argv, "--seed", "0"])
+        assert json.loads(out)["seed"] == 0
 
-    def test_invalid_env_seed_is_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv(SEED_ENV_VAR, "not-a-seed")
-        code, _ = run_cli(["sample", "--region", "cube", "--count", "1"])
-        assert code == 2
-        assert SEED_ENV_VAR in capsys.readouterr().err
+    # argv and the files it names are the CLI's whole input: SPINCOINS_SEED, set or not, to a seed or to garbage, changes nothing.
+    @pytest.mark.parametrize("env_seed", [None, "5", "not-a-seed", LONG_DIGITS], ids=["unset", "5", "not-a-seed", "5000-digits"])
+    @pytest.mark.parametrize("with_flag", [True, False], ids=["flag", "no-flag"])
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_stdout_depends_on_argv_alone(self, command, with_flag, env_seed, monkeypatch, capsys):
+        argv = BASE_ARGV[command]
+        if not with_flag:
+            at = argv.index("--seed")
+            argv = argv[:at] + argv[at + 2:]
+        monkeypatch.delenv("SPINCOINS_SEED", raising=False)
+        unset = run_cli(argv)
+        if env_seed is not None:
+            monkeypatch.setenv("SPINCOINS_SEED", env_seed)
+        assert run_cli(argv) == unset
+        assert unset[0] == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestDeterminism:

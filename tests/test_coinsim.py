@@ -118,7 +118,7 @@ class TestPureStreamChoice:
         [(call, count, imported, path) for call, count, paths in CHOICES for imported, path in paths.items()],
     )
     def test_each_call_at_each_threshold_and_import_state(self, call, count, imported, path, monkeypatch):
-        assert (coinsim._PURE_MAX_COUNT, 2 * coinsim._BLOCK_ROWS) == (5000, 2**17)
+        assert (coinsim._PURE_MAX_COUNT, coinsim._PURE_MAX_SAMPLES) == (5000, 2**17 - 1)
         spec = sc.RngSpec(seed=2**64 - 1, stream=5)
         first = spec.generator().random()
         choose = coinsim._pure_stream
@@ -533,12 +533,13 @@ class TestQuantumFraction:
         # the stream over threads changes no row and no count. A short switch
         # interval makes the threads interleave often, so a lost update shows.
         # b is a lone Generator worker's block: b - 1 and b rows fill one block, b + 1 and 2b + 1 end on a one-row block.
-        # Below 4b = 2^17 rows one worker counts them all, and a process without numpy counts them on the pure
-        # stream, one row at a time, in one thread whatever the CPU count; from 4b rows both processes draw
-        # through numpy's generators. So 4b - 1 and 4b are the last count the pure stream takes and the first it leaves.
-        b = coinsim._BLOCK_ROWS // 2
-        sizes = (1000, b - 1, b, b + 1, 2 * b + 1, 123457, 4 * b - 1, 4 * b, 3 * 2**16 + 1, 10**7)
-        pure_sizes = sizes[: sizes.index(4 * b)]
+        # Below 2 * _BLOCK_ROWS = 4b rows one worker counts them all. Up to _PURE_MAX_SAMPLES rows a process without
+        # numpy counts them on the pure stream, one row at a time, in one thread whatever the CPU count; beyond it
+        # both processes draw through numpy's generators. So the limit and the limit + 1 are the last count the pure
+        # stream takes and the first it leaves.
+        b, most = coinsim._BLOCK_ROWS // 2, coinsim._PURE_MAX_SAMPLES
+        sizes = (1000, b - 1, b, b + 1, 2 * b + 1, 123457, most, most + 1, 3 * 2**16 + 1, 10**7)
+        pure_sizes = sizes[: sizes.index(most + 1)]
         fractions = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

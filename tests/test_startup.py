@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -29,12 +30,14 @@ SKEWED = '{"p1": 0.3, "p2": 0.6, "p3": 0.85}'
 
 # Runs in a fresh interpreter: imports the package or runs one CLI call, then prints the exit code, the
 # captured stdout, the spincoins modules loaded, whether numpy and numpy.random got imported and every
-# module the call newly imported (those that site or the probe itself had loaded before it are not).
+# module the call newly imported (those that the probe itself had loaded before it are not). It fails if
+# threading or numpy is loaded before the call, which would make those checks hold whatever the call imports.
 PROBE = """
 import io, json, sys
 argv = json.loads(sys.argv[1])
 out = io.StringIO()
 before = set(sys.modules)
+assert not before & {"threading", "numpy"}, sorted(before & {"threading", "numpy"})
 if argv is None:
     import spincoins
     code = 0
@@ -95,8 +98,11 @@ ARRAY_CALLS = {
 
 
 def probe(argv: list[str] | None) -> dict:
+    # -S runs no site hook, some of which (a .pth file's import line) load threading at startup; the
+    # PYTHONPATH of this process's sys.path still finds the package and its dependencies.
     result = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv)], capture_output=True, text=True, check=True, timeout=120
+        [sys.executable, "-S", "-c", PROBE, json.dumps(argv)], capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     return json.loads(result.stdout.splitlines()[-1])
 
